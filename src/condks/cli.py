@@ -24,7 +24,7 @@ from .kolmogorov import (
     exact_cdf,
     p_value,
 )
-from .monte_carlo import meta_test
+from .monte_carlo import meta_test, power_from_statistics, run_replicates
 from .specs import load_scenario, parse_family_spec
 from .testing import classic_ks_test, conditional_ks_test
 
@@ -181,19 +181,14 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"--alpha must lie in (0, 1), got {alpha}")
         config = load_scenario(scenario)
-        from .monte_carlo import run_replicates
-
         stats = run_replicates(config)
         meta = meta_test(stats, config.n, alpha=meta_alpha)
         summary: dict = {"meta_test": meta.to_dict()}
         if not config.is_calibration:
-            rejections = sum(
-                1 for s in stats if p_value(float(s), config.n, "auto") < alpha
-            )
-            rate = rejections / config.replicates
+            power = power_from_statistics(stats, config.n, alpha)
             summary["power"] = {
-                "rejection_rate": rate,
-                "std_error": math.sqrt(rate * (1.0 - rate) / config.replicates),
+                "rejection_rate": power.rejection_rate,
+                "std_error": power.std_error,
                 "alpha": alpha,
             }
         os.makedirs(out_dir, exist_ok=True)

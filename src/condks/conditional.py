@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -40,35 +41,53 @@ _D = ( 7.784695709041462e-03,  3.224671290700398e-01,  2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def _norm_cdf_scalar(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT2)
+# Below the smallest normal double p loses significant bits, so the
+# quantile's 1e-9 accuracy cannot hold, and the Halley step's
+# exp(x * x / 2) overflows once p is deep in the subnormal range.
+_P_MIN = sys.float_info.min
 
 
-def _norm_quantile_scalar(p: float) -> float:
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    # Elementwise through the scalar ``math`` function on purpose: numpy's
+    # SIMD exp/log need not round like libm, and the replicate statistics
+    # of a seed are frozen to the bit.
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * _libm(math.erfc, -x / _SQRT2)
+
+
+def _acklam_tail(q: np.ndarray) -> np.ndarray:
+    return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
+        ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+
+
+def _norm_quantile(p: np.ndarray) -> np.ndarray:
     """Standard normal quantile: Acklam's approximation plus one Halley
     refinement through erfc, giving absolute error below 1e-9."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-             ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    e = _norm_cdf_scalar(x) - p
-    u = e * _SQRT_2PI * math.exp(0.5 * x * x)
+    bad = ~((p >= _P_MIN) & (p < 1.0))
+    if bad.any():
+        value = float(p.ravel()[np.flatnonzero(bad)[0]])
+        if 0.0 < value < _P_MIN:
+            raise ValueError(
+                f"quantile argument {value} is below the smallest normal "
+                f"double {_P_MIN}, where the quantile is not accurate"
+            )
+        raise ValueError(f"quantile argument must lie in (0, 1), got {value}")
+    low = p < _P_LOW
+    high = p > 1.0 - _P_LOW
+    central = ~(low | high)
+    x = np.empty(p.shape)
+    x[low] = _acklam_tail(np.sqrt(-2.0 * _libm(math.log, p[low])))
+    x[high] = -_acklam_tail(np.sqrt(-2.0 * _libm(math.log1p, -p[high])))
+    q = p[central] - 0.5
+    r = q * q
+    x[central] = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
+        (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+    e = _norm_cdf(x) - p
+    u = e * _SQRT_2PI * _libm(math.exp, 0.5 * x * x)
     return x - u / (1.0 + 0.5 * x * u)
-
-
-_norm_cdf_vec = np.frompyfunc(_norm_cdf_scalar, 1, 1)
-_norm_quantile_vec = np.frompyfunc(_norm_quantile_scalar, 1, 1)
 
 
 def _apply_scalar_fn(fn, arr):
@@ -77,14 +96,6 @@ def _apply_scalar_fn(fn, arr):
     if isinstance(out, np.ndarray):
         return out.astype(float)
     return np.asarray(float(out))
-
-
-def _norm_cdf(x):
-    return _apply_scalar_fn(_norm_cdf_vec, x)
-
-
-def _norm_quantile(p):
-    return _apply_scalar_fn(_norm_quantile_vec, p)
 
 
 def _broadcast(a, b):
@@ -129,15 +140,22 @@ class ConditionalCdfFamily(ABC):
             return "zeta must be finite"
         return None
 
+    def invalid_zetas(self, zetas: np.ndarray) -> np.ndarray:
+        """Mask of the zetas ``zeta_error`` rejects; keep the two in step."""
+        return ~np.isfinite(zetas)
+
     def validate_zetas(self, zetas) -> None:
-        arr = np.atleast_1d(np.asarray(zetas, dtype=float))
-        for idx, z in enumerate(arr):
-            reason = self.zeta_error(float(z))
-            if reason is not None:
-                raise ValueError(
-                    f"zeta={z} at index {idx} invalid for family "
-                    f"'{self.name}': {reason}"
-                )
+        """Raise ValueError naming the first invalid zeta and its index
+        (the flat, C-order index for an array of more than one dimension)."""
+        arr = np.asarray(zetas, dtype=float).ravel()
+        bad = np.flatnonzero(self.invalid_zetas(arr))
+        if bad.size:
+            idx = int(bad[0])
+            z = float(arr[idx])
+            raise ValueError(
+                f"zeta={z} at index {idx} invalid for family "
+                f"'{self.name}': {self.zeta_error(z)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -183,6 +201,9 @@ class ExponentialRate(ConditionalCdfFamily):
         if zeta <= 0.0:
             return "rate zeta must be > 0"
         return None
+
+    def invalid_zetas(self, zetas: np.ndarray) -> np.ndarray:
+        return ~(np.isfinite(zetas) & (zetas > 0.0))
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,15 @@ def ks_statistic_uniform(sample: SortedUnitSample | Iterable[float]) -> float:
     """
     if not isinstance(sample, SortedUnitSample):
         sample = SortedUnitSample(np.asarray(list(sample), dtype=float))
-    u = sample.values
-    n = sample.n
+    return float(ks_statistic_rows(sample.values))
+
+
+def ks_statistic_rows(u: np.ndarray) -> np.ndarray:
+    """``ks_statistic_uniform`` of each row of an array whose rows are
+    sorted samples in [0, 1] (unchecked); a 1-d array gives a 0-d result."""
+    n = u.shape[-1]
     i = np.arange(1, n + 1)
-    d_plus = i / n - u
-    d_minus = u - (i - 1) / n
-    return float(max(d_plus.max(), d_minus.max()))
+    return np.maximum((i / n - u).max(axis=-1), (u - (i - 1) / n).max(axis=-1))
 
 
 def ks_statistic_cdf(xs: Iterable[float], cdf: Callable[[float], float]) -> float:

@@ -56,24 +56,38 @@ def asymptotic_cdf(x: float) -> float:
     return min(1.0, max(0.0, q))
 
 
+# n! as a float cumprod for n = 0..170; 171! overflows, and the matrix
+# entries it divides are then 0.
+_FACT = np.cumprod(np.concatenate(([1.0], np.arange(1.0, 171.0))))
+_INV_FACT = 1.0 / _FACT
+
+
 def _transition_matrix(k: int, h: float) -> np.ndarray:
-    """The MTW matrix H for parameters k = ceil(nd), h = k - nd."""
+    """The MTW matrix H for parameters k = ceil(nd), h = k - nd.
+
+    Entry (i, j) is 1/(i - j + 1)! on and below the superdiagonal and 0
+    above it, except for the h corrections in the first column and the
+    last row.
+    """
     m = 2 * k - 1
-    i = np.arange(m)[:, None]
-    j = np.arange(m)[None, :]
-    lower = i - j + 1 >= 0
-    H = lower.astype(float)
+    if m < _FACT.size:
+        fact, inv = _FACT[:m + 1], _INV_FACT[:m + 1]
+    else:
+        fact = np.concatenate((_FACT, np.full(m + 1 - _FACT.size, np.inf)))
+        inv = np.concatenate((_INV_FACT, np.zeros(m + 1 - _FACT.size)))
+    # Toeplitz: H[i, j] = w[i - j + m], with 1/t! at w[t + m - 1].
+    w = np.concatenate((np.zeros(m - 1), inv))
+    H = np.ndarray((m, m), float, w, m * w.itemsize, (w.itemsize, -w.itemsize)).copy()
     hp = h ** np.arange(1, m + 1)
-    H[:, 0] -= hp
-    H[m - 1, :] -= hp[::-1]
+    corner = (1.0 - hp[m - 1]) - hp[m - 1]
     if 2.0 * h - 1.0 > 0.0:
-        H[m - 1, 0] += (2.0 * h - 1.0) ** m
-    # Divide entry (i, j) by (i - j + 1)!.  Factorials are built as a
-    # float cumprod so that for m > 170 they overflow to inf and the
-    # corresponding entries cleanly underflow to 0.
-    with np.errstate(over="ignore"):
-        fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, m + 1.0))))
-    H = np.where(lower, H / fact[np.clip(i - j + 1, 0, m)], 0.0)
+        corner += (2.0 * h - 1.0) ** m
+    # Entry (i, 0) is (1 - h^(i+1))/(i+1)! and entry (m-1, j) is the same
+    # value at i = m-1-j.
+    first_column = (1.0 - hp) / fact[1:]
+    H[:, 0] = first_column
+    H[m - 1, :] = first_column[::-1]
+    H[m - 1, 0] = corner / fact[m]
     return H
 
 
@@ -105,12 +119,12 @@ def exact_cdf(n: int, d: float) -> float:
     c = k - 1
     eV = 0
     eP = 0
-    V = np.eye(H.shape[0])
+    V = None
     P = H
     g = n
     while g > 0:
         if g & 1:
-            V = V @ P
+            V = P.copy() if V is None else V @ P
             eV += eP
             if V[c, c] > _RESCALE_HI:
                 V *= _RESCALE_LO

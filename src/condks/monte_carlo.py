@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .conditional import ConditionalCdfFamily, ExponentialRate
-from .empirical import SortedUnitSample, ks_statistic_uniform
+from .empirical import SortedUnitSample, ks_statistic_rows, ks_statistic_uniform
 from .kolmogorov import exact_cdf, p_value
 from .testing import TestReport, _build_report
 
@@ -148,23 +148,56 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _one_statistic(scenario: Scenario, index: int) -> float:
-    rng = replicate_rng(scenario.seed, index)
-    zetas = scenario.zeta_sampler.draw(rng, scenario.n)
-    try:
-        scenario.data_family.validate_zetas(zetas)
-        scenario.null_family.validate_zetas(zetas)
-        u = rng.random(scenario.n)
-        xi = np.asarray(scenario.data_family.quantile(u, zetas), dtype=float)
-        y = np.asarray(scenario.null_family.cdf(xi, zetas), dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"replicate {index}: {exc}") from exc
-    return ks_statistic_uniform(SortedUnitSample(np.sort(np.atleast_1d(y))))
+# Replicates are transformed in blocks of about this many values: large
+# enough that numpy's per-call cost is shared by many replicates, small
+# enough that the block arrays stay a few hundred kB.
+BLOCK_VALUES = 8192
+
+
+def _statistics(scenario: Scenario, zetas: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """KS statistics of the rows of (rows, n) blocks of zetas and uniforms."""
+    scenario.data_family.validate_zetas(zetas)
+    scenario.null_family.validate_zetas(zetas)
+    xi = np.asarray(scenario.data_family.quantile(u, zetas), dtype=float)
+    y = np.sort(np.asarray(scenario.null_family.cdf(xi, zetas), dtype=float), axis=1)
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise ValueError(
+            f"family '{scenario.null_family.name}' returned cdf values outside [0, 1]"
+        )
+    return ks_statistic_rows(y)
 
 
 def run_replicates(scenario: Scenario) -> np.ndarray:
-    """Statistic values for every replicate, in replicate order."""
-    return np.array([_one_statistic(scenario, r) for r in range(scenario.replicates)])
+    """Statistic values for every replicate, in replicate order.
+
+    Replicate r draws its zetas, then its uniforms, from
+    ``replicate_rng(seed, r)``; the transform and the statistic then run
+    on a block of replicates at a time, with the same bits as one
+    replicate at a time.  A ValueError names the first failing replicate.
+    """
+    n, reps = scenario.n, scenario.replicates
+    rows = max(1, BLOCK_VALUES // n)
+    out = np.empty(reps)
+    for start in range(0, reps, rows):
+        stop = min(start + rows, reps)
+        zetas = np.empty((stop - start, n))
+        u = np.empty((stop - start, n))
+        for row in range(stop - start):
+            rng = replicate_rng(scenario.seed, start + row)
+            zetas[row] = scenario.zeta_sampler.draw(rng, n)
+            u[row] = rng.random(n)
+        try:
+            out[start:stop] = _statistics(scenario, zetas, u)
+        except ValueError:
+            # Redo the block one replicate at a time to name the first
+            # one that fails, as its error would have read on its own.
+            for row in range(stop - start):
+                try:
+                    _statistics(scenario, zetas[row:row + 1], u[row:row + 1])
+                except ValueError as exc:
+                    raise ValueError(f"replicate {start + row}: {exc}") from exc
+            raise
+    return out
 
 
 def meta_test(statistics: Iterable[float], n: int, alpha: float = 0.01) -> TestReport:
@@ -186,15 +219,24 @@ class PowerEstimate(NamedTuple):
     std_error: float
 
 
+def power_from_statistics(statistics: Iterable[float], n: int,
+                          alpha: float) -> PowerEstimate:
+    """Fraction of the statistics the level-alpha test at sample size n
+    rejects, with its binomial standard error sqrt(r (1 - r) / count)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    stats = np.asarray(list(statistics), dtype=float)
+    if stats.size == 0:
+        raise ValueError("need at least one statistic")
+    rejections = sum(1 for s in stats if p_value(float(s), n, "auto") < alpha)
+    rate = rejections / stats.size
+    se = math.sqrt(rate * (1.0 - rate) / stats.size)
+    return PowerEstimate(rejection_rate=rate, std_error=se)
+
+
 def power_estimate(scenario: Scenario, alpha: float = 0.05) -> PowerEstimate:
     """Fraction of replicates the level-alpha test rejects, with its
     binomial standard error sqrt(r (1 - r) / replicates)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    stats = run_replicates(scenario)
-    rejections = sum(
-        1 for s in stats if p_value(float(s), scenario.n, "auto") < alpha
-    )
-    rate = rejections / scenario.replicates
-    se = math.sqrt(rate * (1.0 - rate) / scenario.replicates)
-    return PowerEstimate(rejection_rate=rate, std_error=se)
+    return power_from_statistics(run_replicates(scenario), scenario.n, alpha)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -59,6 +60,110 @@ class TestNormalQuantile:
             NormalLocation(sigma=1.0).quantile(0.0, 0.0)
         with pytest.raises(ValueError):
             NormalLocation(sigma=1.0).quantile(1.0, 0.0)
+
+    @pytest.mark.parametrize("p", [1e-310, 1e-315, 5e-324])
+    def test_rejects_subnormal_arguments(self, p):
+        # below the smallest normal double the Halley step's exp(x^2/2)
+        # used to overflow; now p is rejected as a ValueError naming it
+        fam = NormalLocation(sigma=1.0)
+        with pytest.raises(ValueError, match=f"argument {p!r} is below"):
+            fam.quantile(p, 0.0)
+        with pytest.raises(ValueError, match=f"argument {p!r} is below"):
+            fam.quantile(np.array([0.5, p, 0.1]), 0.0)
+
+    def test_smallest_normal_argument_is_accepted(self):
+        x = NormalLocation(sigma=1.0).quantile(sys.float_info.min, 0.0)
+        assert math.isfinite(x) and -38.0 < x < -37.0
+
+
+# Scalar reference for the array-native normal family: Acklam's
+# approximation and the Halley step written with ``math`` one value at a
+# time, the operations in the order the package evaluates them.
+_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+             6.680131188771972e+01, -1.328068155288572e+01)
+_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+             3.754408661907416e+00)
+_ACKLAM_P_LOW = 0.02425
+
+
+def _scalar_norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _scalar_norm_quantile(p: float) -> float:
+    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
+    if p < _ACKLAM_P_LOW:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    elif p <= 1.0 - _ACKLAM_P_LOW:
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
+            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    else:
+        q = math.sqrt(-2.0 * math.log1p(-p))
+        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    e = _scalar_norm_cdf(x) - p
+    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    return x - u / (1.0 + 0.5 * x * u)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+class TestNormalMatchesScalarReference:
+    def test_quantile_bits_over_all_branches(self):
+        rng = np.random.default_rng(20031)
+        p = np.concatenate([
+            rng.uniform(0.0, _ACKLAM_P_LOW, 40_000),  # lower tail
+            np.exp(rng.uniform(math.log(sys.float_info.min), math.log(_ACKLAM_P_LOW),
+                               20_000)),  # lower tail, log-spread
+            rng.uniform(_ACKLAM_P_LOW, 1.0 - _ACKLAM_P_LOW, 40_000),  # central
+            1.0 - rng.uniform(0.0, _ACKLAM_P_LOW, 40_000),  # upper tail
+            rng.random(20_000),  # what the replicate core feeds it
+            [_ACKLAM_P_LOW, 1.0 - _ACKLAM_P_LOW, 2.0 ** -53, 1.0 - 2.0 ** -53,
+             sys.float_info.min, 0.5],
+        ])
+        p = p[(p > 0.0) & (p < 1.0)]
+        assert p.size > 100_000
+        want = [_scalar_norm_quantile(v) for v in p.tolist()]
+        got = NormalLocation(sigma=1.0).quantile(p, 0.0)
+        assert _same_bits(got, want)
+        # a 2-D block gives each element the bits it gets on its own
+        block = p[: 300 * 50].reshape(300, 50)
+        assert _same_bits(NormalLocation(sigma=1.0).quantile(block, 0.0),
+                          np.reshape(want[: 300 * 50], (300, 50)))
+
+    def test_cdf_bits_out_to_forty(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 100_001), [-40.0, 40.0, 0.0, -0.0]])
+        want = [_scalar_norm_cdf(v) for v in x.tolist()]
+        assert _same_bits(NormalLocation(sigma=1.0).cdf(x, 0.0), want)
+
+    def test_location_and_scale_bits(self):
+        rng = np.random.default_rng(7)
+        fam = NormalLocation(sigma=1.7)
+        p, zeta = rng.random(5_000), rng.uniform(-3.0, 3.0, 5_000)
+        want_q = [z + 1.7 * _scalar_norm_quantile(v) for v, z in zip(p.tolist(), zeta.tolist())]
+        assert _same_bits(fam.quantile(p, zeta), want_q)
+        xi = rng.normal(size=5_000)
+        want_c = [_scalar_norm_cdf((x - z) / 1.7) for x, z in zip(xi.tolist(), zeta.tolist())]
+        assert _same_bits(fam.cdf(xi, zeta), want_c)
+
+    def test_scalar_input_returns_plain_float(self):
+        fam = NormalLocation(sigma=1.0)
+        for got, want in ((fam.quantile(0.3, 0.2), 0.2 + _scalar_norm_quantile(0.3)),
+                          (fam.cdf(0.3, 0.2), _scalar_norm_cdf(0.3 - 0.2))):
+            assert type(got) is float
+            assert got == want
 
 
 class TestFamilyShapes:

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from condks import (
+    ConstantFamily,
     ExponentialRate,
     GaussianMixtureSampler,
     NormalLocation,
     PointMassSampler,
     Scenario,
     UniformSampler,
+    TabulatedFamily,
     UniformWidth,
     critical_value,
     ks_statistic_uniform,
     meta_test,
+    p_value,
     power_estimate,
     replicate_rng,
     run_replicates,
 )
+from condks.monte_carlo import BLOCK_VALUES, power_from_statistics
 
 
 def calibration_scenario(n=20, replicates=200, seed=42):
@@ -99,11 +103,25 @@ class TestScenario:
         # a mixture straddling zero passes the up-front check but must
         # abort on the first replicate that draws a nonpositive rate
         sc = Scenario(
-            zeta_sampler=GaussianMixtureSampler(components=((1.0, 0.05, 0.2),)),
-            null_family=ExponentialRate(), n=40, replicates=50, seed=7,
+            zeta_sampler=GaussianMixtureSampler(components=((1.0, 1.0, 0.3),)),
+            null_family=ExponentialRate(), n=40, replicates=300, seed=7,
         )
-        with pytest.raises(ValueError, match="replicate \\d+"):
+        # re-derive one replicate at a time, in the harness's draw order
+        want = None
+        for r in range(sc.replicates):
+            zetas = sc.zeta_sampler.draw(replicate_rng(7, r), sc.n)
+            bad = np.flatnonzero(zetas <= 0.0)
+            if bad.size:
+                want = (r, int(bad[0]), float(zetas[bad[0]]))
+                break
+        assert want is not None and want[0] > 0 and want[1] > 0
+        r, i, z = want
+        with pytest.raises(ValueError) as info:
             run_replicates(sc)
+        assert str(info.value) == (
+            f"replicate {r}: zeta={z} at index {i} invalid for family "
+            f"'exponential-rate': rate zeta must be > 0"
+        )
 
 
 class TestReplicateRng:
@@ -144,6 +162,13 @@ class TestRunReplicates:
             direct.append(ks_statistic_uniform(np.sort(u)))
         assert np.array_equal(stats, np.array(direct))
 
+    def test_cdf_outside_unit_interval_names_the_replicate(self):
+        sc = Scenario(zeta_sampler=PointMassSampler(0.0),
+                      null_family=ConstantFamily(lambda x: 2.0 * x),
+                      data_family=UniformWidth(), n=10, replicates=5, seed=2)
+        with pytest.raises(ValueError, match=r"replicate 0: .*outside \[0, 1\]"):
+            run_replicates(sc)
+
     def test_point_mass_collapse_normal_family(self):
         sc = Scenario(zeta_sampler=PointMassSampler(2.0),
                       null_family=NormalLocation(sigma=1.0),
@@ -157,6 +182,60 @@ class TestRunReplicates:
             direct.append(ks_statistic_uniform(np.sort(u)))
         # quantile-then-cdf round trip reintroduces float noise only
         assert np.max(np.abs(stats - np.array(direct))) < 1e-12
+
+
+def _one_at_a_time(sc):
+    # the reference the block path must match bit for bit: each replicate
+    # on its own, through the 1-d family calls and ks_statistic_uniform
+    stats = []
+    for r in range(sc.replicates):
+        rng = replicate_rng(sc.seed, r)
+        zetas = sc.zeta_sampler.draw(rng, sc.n)
+        u = rng.random(sc.n)
+        xi = sc.data_family.quantile(u, zetas)
+        stats.append(ks_statistic_uniform(np.sort(sc.null_family.cdf(xi, zetas))))
+    return np.array(stats)
+
+
+def _tabulated():
+    zg = np.linspace(-1.0, 3.0, 9)
+    xk = np.linspace(-6.0, 9.0, 121)
+    return TabulatedFamily(zg, xk, NormalLocation(sigma=1.0).cdf(xk[None, :], zg[:, None]))
+
+
+BLOCK_FAMILIES = {
+    "normal-location": (NormalLocation(sigma=1.0), NormalLocation(sigma=1.5)),
+    "exponential-rate": (ExponentialRate(), None),
+    "uniform-width": (UniformWidth(), None),
+    "tabulated": (_tabulated(), NormalLocation(sigma=1.0)),
+}
+BLOCK_SAMPLERS = {
+    "uniform": UniformSampler(0.5, 2.0),
+    "point-mass": PointMassSampler(1.25),
+    "gaussian-mixture": GaussianMixtureSampler(components=((0.4, 1.0, 0.1), (0.6, 2.0, 0.2))),
+}
+
+
+class TestBlockMatchesOneReplicateAtATime:
+    @pytest.mark.parametrize("sampler", sorted(BLOCK_SAMPLERS))
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    def test_bit_for_bit(self, family, sampler):
+        null, data = BLOCK_FAMILIES[family]
+        rows = BLOCK_VALUES // 30
+        # 2 full blocks and a partial one
+        sc = Scenario(zeta_sampler=BLOCK_SAMPLERS[sampler], null_family=null,
+                      data_family=data, n=30, replicates=2 * rows + 17, seed=4242)
+        assert sc.replicates % rows != 0
+        got = run_replicates(sc)
+        assert np.array_equal(got.view(np.int64), _one_at_a_time(sc).view(np.int64))
+
+    def test_sample_larger_than_a_block(self):
+        sc = Scenario(zeta_sampler=UniformSampler(0.0, 1.0),
+                      null_family=NormalLocation(sigma=1.0),
+                      data_family=NormalLocation(sigma=2.0),
+                      n=BLOCK_VALUES + 123, replicates=3, seed=31)
+        got = run_replicates(sc)
+        assert np.array_equal(got.view(np.int64), _one_at_a_time(sc).view(np.int64))
 
 
 class TestMetaTest:
@@ -206,3 +285,14 @@ class TestPowerEstimate:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             power_estimate(calibration_scenario(replicates=5), alpha=0.0)
+
+    def test_power_from_statistics_counts_p_values(self):
+        stats = run_replicates(calibration_scenario(n=20, replicates=300, seed=3))
+        est = power_from_statistics(stats, 20, 0.1)
+        rejections = sum(1 for s in stats if p_value(float(s), 20) < 0.1)
+        assert est.rejection_rate == rejections / 300
+        assert est.std_error == np.sqrt(est.rejection_rate * (1 - est.rejection_rate) / 300)
+        with pytest.raises(ValueError, match="alpha"):
+            power_from_statistics(stats, 20, 1.0)
+        with pytest.raises(ValueError, match="statistic"):
+            power_from_statistics([], 20, 0.1)
