@@ -110,7 +110,8 @@ def cmd_test(data: str, family_spec: str, kind: str, alpha: float, mode: str) ->
 def cmd_dist(n: int | None, asymptotic: bool, query: str, value: float) -> None:
     """Evaluate the null distribution at VALUE (12 significant digits).
 
-    cdf and pvalue take a statistic, critical takes a level alpha.
+    cdf and pvalue take a statistic, critical takes a level alpha; a
+    critical value is rounded up, never down.
     """
     if (n is None) == (not asymptotic):
         raise click.UsageError("pass exactly one of -n or --asymptotic")
@@ -131,6 +132,12 @@ def cmd_dist(n: int | None, asymptotic: bool, query: str, value: float) -> None:
                 result = critical_value(n, value)
     except ValueError as exc:
         _fail(str(exc))
+    if query == "critical":
+        # Round up, so that the printed threshold still reaches 1 - alpha.
+        # (Imported here: decimal adds 0.4 MB to every other command.)
+        from decimal import ROUND_CEILING, Context, Decimal
+
+        result = float(Context(prec=12, rounding=ROUND_CEILING).plus(Decimal(result)))
     click.echo(f"{result:.12g}")
 
 

@@ -337,27 +337,40 @@ class TabulatedFamily(ConditionalCdfFamily):
 
     def quantile(self, p, zeta):
         P, Z, scalar = _broadcast(p, zeta)
-        P, Z = np.broadcast_arrays(np.atleast_1d(P), np.atleast_1d(Z))
-        out = np.empty(P.shape)
-        flatP, flatZ, flat = P.ravel(), Z.ravel(), out.ravel()
-        for i in range(flatP.size):
-            flat[i] = self._quantile_one(flatP[i], flatZ[i])
-        return float(out.ravel()[0]) if scalar else out
+        P, Z = np.broadcast_arrays(P, Z)
+        p, z = P.ravel(), Z.ravel()
+        lo, hi, w = self._zeta_brackets(z)
+        cv, xk = self.cdf_values, self.x_knots
 
-    def _quantile_one(self, p: float, zeta: float) -> float:
-        lo, hi, w = self._zeta_brackets(np.asarray(zeta, dtype=float))
-        row = (1.0 - float(w)) * self.cdf_values[int(lo)] + float(w) * self.cdf_values[int(hi)]
-        xk = self.x_knots
-        if p <= row[0]:
-            return float(xk[0])
-        if p >= row[-1]:
-            # smallest knot where the row first reaches its maximum
-            return float(xk[np.searchsorted(row, row[-1], side="left")])
-        j = int(np.searchsorted(row, p, side="left"))
-        if row[j] == row[j - 1]:
-            return float(xk[j - 1])
-        t = (p - row[j - 1]) / (row[j] - row[j - 1])
-        return float(xk[j - 1] + t * (xk[j] - xk[j - 1]))
+        def row(j):
+            # Entry j of each value's interpolated cdf row, with the same
+            # operations as forming the whole row.
+            return (1.0 - w) * cv[lo, j] + w * cv[hi, j]
+
+        first, last = row(0), row(xk.size - 1)
+        # Smallest knot j whose row entry reaches the target: p itself, or
+        # the row's maximum for p at or above it (rows are non-decreasing,
+        # so a binary search over j finds it, one probe per value per round).
+        target = np.where(p >= last, last, p)
+        a = np.zeros(p.size, dtype=int)
+        b = np.full(p.size, xk.size - 1)
+        while True:
+            active = a < b
+            if not active.any():
+                break
+            m = (a + b) // 2
+            reached = row(m) >= target
+            b = np.where(active & reached, m, b)
+            a = np.where(active & ~reached, m + 1, a)
+        j = np.maximum(a, 1)
+        r0, r1 = row(j - 1), row(j)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (p - r0) / (r1 - r0)
+        out = np.where(r1 == r0, xk[j - 1], xk[j - 1] + t * (xk[j] - xk[j - 1]))
+        out = np.where(p >= last, xk[a], out)
+        out = np.where(p <= first, xk[0], out)
+        out[np.isnan(p)] = np.nan
+        return _unwrap(out.reshape(P.shape), scalar)
 
 
 class ConstantFamily(ConditionalCdfFamily):

@@ -179,42 +179,79 @@ def p_value(statistic: float, n: int, mode: str = "auto") -> float:
     return 1.0 - asymptotic_cdf(math.sqrt(n) * statistic)
 
 
-def critical_value(n: int, alpha: float) -> float:
-    """Smallest d with P(D_n <= d) >= 1 - alpha, by bisection.
+def _itp_search(cdf, target: float, lo: float, hi: float,
+                cdf_lo: float, cdf_hi: float, width: float) -> float:
+    """Where a non-decreasing ``cdf`` reaches ``target``, by the ITP method
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2021).
 
-    The returned threshold is exact-distribution based and accurate to
-    1e-10; a test rejects at level alpha iff its statistic exceeds it.
+    Needs ``cdf(lo) = cdf_lo < target <= cdf_hi = cdf(hi)`` and keeps that
+    invariant; returns ``hi`` once ``hi - lo <= width``.  Each step takes
+    the regula-falsi point, moves it towards the midpoint and projects it
+    into a shrinking window around the midpoint, so the search is
+    superlinear on smooth stretches and never needs more than one ``cdf``
+    call beyond bisection from the same bracket.
+    """
+    f_lo, f_hi = cdf_lo - target, cdf_hi - target
+    # The paper's constants kappa1 = 0.2 / (hi - lo), kappa2 = 2, n0 = 1.
+    kappa1 = 0.2 / (hi - lo)
+    steps = math.ceil(math.log2((hi - lo) / width)) + 1
+    # A point within window - (hi - lo)/2 of the midpoint leaves a bracket
+    # no wider than the window, which halves every step from 2^steps
+    # widths.  Aiming a sixteenth inside that bound absorbs rounding: a
+    # bracket an ulp too wide would cost one more step at the end.
+    window = 0.9375 * width * 2.0 ** steps
+    while hi - lo > width:
+        window *= 0.5
+        mid = 0.5 * (lo + hi)
+        radius = max(0.0, window - 0.5 * (hi - lo))
+        delta = kappa1 * (hi - lo) ** 2
+        falsi = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        sigma = 1.0 if mid >= falsi else -1.0
+        x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        if not lo < x < hi:
+            # Rounding put the point on an end, where it would not shrink
+            # the bracket; the midpoint keeps the step count.
+            x = mid
+        fx = cdf(x) - target
+        if fx >= 0.0:
+            hi, f_hi = x, fx
+        else:
+            lo, f_lo = x, fx
+    return hi
+
+
+def critical_value(n: int, alpha: float) -> float:
+    """Smallest d with P(D_n <= d) >= 1 - alpha, to within 1e-10.
+
+    The result c satisfies P(D_n <= c) >= 1 - alpha > P(D_n <= c - 1e-10);
+    a test rejects at level alpha iff its statistic exceeds c.  The search
+    starts from Massart's tight DKW bound, P(D_n > d) <= 2 exp(-2 n d^2),
+    whose level-alpha point is an upper end close to the answer.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     target = 1.0 - alpha
-    lo = 1.0 / (2.0 * n)
-    hi = 1.0
-    # Invariant: exact_cdf(n, hi) >= target > exact_cdf(n, lo).
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if exact_cdf(n, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # exact_cdf(n, 1/(2n)) = 0 and exact_cdf(n, 1) = 1 by definition.
+    lo, cdf_lo = 1.0 / (2.0 * n), 0.0
+    hi = min(1.0, math.sqrt(math.log(2.0 / alpha) / (2.0 * n)))
+    cdf_hi = exact_cdf(n, hi)
+    if cdf_hi < target:
+        # Only rounding can leave the bound short; search above it.
+        lo, cdf_lo, hi, cdf_hi = hi, cdf_hi, 1.0, 1.0
+    return _itp_search(lambda d: exact_cdf(n, d), target, lo, hi, cdf_lo, cdf_hi, 1e-10)
 
 
 def asymptotic_critical_value(alpha: float) -> float:
-    """Smallest x with Q(x) >= 1 - alpha (threshold for sqrt(n) * D_n)."""
+    """Smallest x with Q(x) >= 1 - alpha (threshold for sqrt(n) * D_n),
+    to within 1e-12."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    target = 1.0 - alpha
-    lo, hi = 0.05, 10.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if asymptotic_cdf(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # Q(0) = 0 and Q(10) = 1 exactly in double precision.
+    return _itp_search(asymptotic_cdf, 1.0 - alpha, 0.0, 10.0, 0.0, 1.0, 1e-12)
 
 
 @dataclass(frozen=True)

@@ -102,13 +102,19 @@ ZetaSampler = Union[UniformSampler, PointMassSampler, GaussianMixtureSampler]
 def _check_sampler_domain(sampler: ZetaSampler, family: ConditionalCdfFamily,
                           role: str) -> None:
     # Up-front compatibility check, decidable only for bounded supports:
-    # a sampler whose whole interval violates a hard domain bound is
-    # rejected here, unbounded samplers are left to per-replicate checks.
+    # a point mass the family rejects, or an interval that crosses a hard
+    # domain bound, is rejected here; unbounded samplers are left to
+    # per-replicate checks.
     lo, hi = sampler.support()
     if isinstance(family, ExponentialRate) and lo < 0.0 and math.isfinite(lo):
         raise ValueError(
             f"{role} family '{family.name}' needs zeta > 0 but the sampler "
             f"can draw values down to {lo}"
+        )
+    if lo == hi and family.zeta_error(lo) is not None:
+        raise ValueError(
+            f"{role} family '{family.name}' rejects the sampler's point "
+            f"mass zeta={lo}: {family.zeta_error(lo)}"
         )
 
 

@@ -148,6 +148,21 @@ class TestDistCommand:
         res2 = runner.invoke(main, ["dist", "-n", "20", "cdf", res.output.strip()])
         assert float(res2.output) >= 0.95
 
+    def test_critical_rounds_up(self, runner):
+        # Rounding to nearest printed a value below the critical value
+        # for n = 44, alpha = 0.01 and n = 100, alpha = 0.2.
+        for n in range(1, 101):
+            for alpha in (0.2, 0.1, 0.05, 0.01, 0.001):
+                res = runner.invoke(main, ["dist", "-n", str(n), "critical", str(alpha)])
+                assert res.exit_code == 0
+                assert exact_cdf(n, float(res.output)) >= 1.0 - alpha, (n, alpha)
+
+    def test_asymptotic_critical_rounds_up(self, runner):
+        res = runner.invoke(main, ["dist", "--asymptotic", "critical", "0.05"])
+        x = asymptotic_critical_value(0.05)
+        # the smallest 12-digit decimal at or above x, whose last digit is 1e-11
+        assert x <= float(res.output) < x + 1e-11
+
     def test_pvalue_queries(self, runner):
         res = runner.invoke(main, ["dist", "-n", "10", "pvalue", "0.3"])
         assert float(res.output) == pytest.approx(1.0 - exact_cdf(10, 0.3), abs=1e-11)
@@ -282,6 +297,17 @@ class TestSimulateCommand:
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
         assert "bogus" in res.output
+
+    def test_point_mass_outside_family_domain(self, runner, tmp_path):
+        cfg = tmp_path / "scen.cfg"
+        write_scenario(cfg, CALIBRATION_CFG.replace(
+            "zeta_sampler = uniform:a=0,b=1", "zeta_sampler = point-mass:c=0"
+        ).replace("normal-location:sigma=1", "exponential-rate"))
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+        assert "rate zeta must be > 0" in res.output
+        assert "replicate" not in res.output
+        assert not (tmp_path / "x").exists()
 
     def test_missing_scenario_file(self, runner, tmp_path):
         res = runner.invoke(main, ["simulate", str(tmp_path / "no.cfg"),

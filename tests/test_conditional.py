@@ -295,6 +295,23 @@ class TestSampleConditional:
             sample_conditional(ExponentialRate(), -1.0, 0.5)
 
 
+def quantile_one_reference(fam: TabulatedFamily, p: float, zeta: float) -> float:
+    """The scalar TabulatedFamily.quantile: interpolate the whole cdf row
+    at zeta, then search it for p."""
+    lo, hi, w = fam._zeta_brackets(np.asarray(zeta, dtype=float))
+    row = (1.0 - float(w)) * fam.cdf_values[int(lo)] + float(w) * fam.cdf_values[int(hi)]
+    xk = fam.x_knots
+    if p <= row[0]:
+        return float(xk[0])
+    if p >= row[-1]:
+        return float(xk[np.searchsorted(row, row[-1], side="left")])
+    j = int(np.searchsorted(row, p, side="left"))
+    if row[j] == row[j - 1]:
+        return float(xk[j - 1])
+    t = (p - row[j - 1]) / (row[j] - row[j - 1])
+    return float(xk[j - 1] + t * (xk[j] - xk[j - 1]))
+
+
 class TestTabulatedFamily:
     def test_reproduces_analytic_source(self):
         tab = make_tabulated()
@@ -331,6 +348,39 @@ class TestTabulatedFamily:
         fam = TabulatedFamily([0.0], [0.0, 1.0, 2.0, 3.0],
                               [[0.0, 0.5, 0.5, 1.0]])
         assert fam.quantile(0.5, 0.0) == 1.0
+
+    @pytest.mark.parametrize("nz", [1, 2, 61])
+    def test_quantile_matches_scalar_reference(self, nz):
+        # Rows rounded to 3 digits have flat segments, and reach their
+        # maximum (1.0) well before the last knot.
+        smooth = make_tabulated(nz, 401)
+        tab = TabulatedFamily(smooth.zeta_grid, smooth.x_knots,
+                              np.round(smooth.cdf_values, 3))
+        rng = np.random.default_rng(nz)
+        p = np.concatenate([rng.random(3000), np.unique(tab.cdf_values),
+                            [0.0, 1.0, -0.5, 1.5, 1e-4, 1.0 - 1e-12]])
+        # zetas inside, on and outside the grid
+        zeta = rng.choice(np.concatenate([rng.uniform(-3.0, 4.0, 50), tab.zeta_grid]),
+                          p.size)
+        got = tab.quantile(p, zeta)
+        want = np.array([quantile_one_reference(tab, a, b) for a, b in zip(p, zeta)])
+        assert got.shape == p.shape
+        assert np.array_equal(got, want)
+        k = p.size // 2 * 2
+        assert np.array_equal(tab.quantile(p[:k].reshape(2, -1), zeta[:k].reshape(2, -1)),
+                              want[:k].reshape(2, -1))
+        q = tab.quantile(0.3, 0.5)
+        assert type(q) is float and q == quantile_one_reference(tab, 0.3, 0.5)
+
+    def test_quantile_ends_of_the_row(self):
+        fam = TabulatedFamily([0.0], [0.0, 1.0, 2.0, 3.0, 4.0],
+                              [[0.2, 0.5, 0.5, 0.9, 0.9]])
+        # at or below row[0]: the first knot; at or above the maximum: the
+        # smallest knot reaching it; on a flat segment: its left knot
+        assert list(fam.quantile([0.0, 0.2, 0.9, 1.0, 0.5, 0.7], 0.0)) == \
+            [0.0, 0.0, 3.0, 3.0, 1.0, 2.5]
+        # NaN stays NaN, even where the search ends on a flat segment
+        assert math.isnan(fam.quantile(float("nan"), 0.0))
 
     def test_clamps_outside_grids(self):
         tab = make_tabulated()

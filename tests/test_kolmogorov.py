@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import condks.kolmogorov
 from condks import (
     AUTO_EXACT_LIMIT,
     KolmogorovDistribution,
@@ -180,6 +181,60 @@ class TestCriticalValue:
                 critical_value(10, bad)
         with pytest.raises(ValueError):
             critical_value(0, 0.05)
+
+
+SWEEP_N = list(range(1, 201)) + [500, 1000, 3000]
+SWEEP_ALPHAS = [1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.5, 0.999, 1.0 - 1e-7]
+TABLE_ALPHAS = (0.2, 0.1, 0.05, 0.01)  # condks table's default levels
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """critical_value over the sweep grid, with the exact_cdf calls each
+    (n, alpha) took: {(n, alpha): (c, calls)}."""
+    calls = [0]
+
+    def counting(n, d):
+        calls[0] += 1
+        return exact_cdf(n, d)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condks.kolmogorov, "exact_cdf", counting)
+        for n in SWEEP_N:
+            for alpha in SWEEP_ALPHAS:
+                calls[0] = 0
+                out[(n, alpha)] = (critical_value(n, alpha), calls[0])
+    return out
+
+
+class TestCriticalValueSearch:
+    def test_bracket_at_width_1e10(self, sweep):
+        for (n, alpha), (c, _) in sweep.items():
+            assert exact_cdf(n, c) >= 1.0 - alpha > exact_cdf(n, c - 1e-10), (n, alpha)
+
+    def test_at_most_three_calls_beyond_bisection(self, sweep):
+        for (n, alpha), (_, calls) in sweep.items():
+            bisection = math.ceil(math.log2((1.0 - 1.0 / (2.0 * n)) / 1e-10))
+            assert calls <= bisection + 3, (n, alpha, calls, bisection)
+
+    def test_default_table_call_total(self, sweep):
+        # bisection took 27188 calls over these 800 cells
+        total = sum(sweep[(n, a)][1] for n in range(1, 201) for a in TABLE_ALPHAS)
+        assert total <= 10_000
+
+    def test_asymptotic_bracket_at_width_1e12(self):
+        for alpha in SWEEP_ALPHAS:
+            x = asymptotic_critical_value(alpha)
+            assert asymptotic_cdf(x) >= 1.0 - alpha > asymptotic_cdf(x - 1e-12), alpha
+
+    def test_matches_scipy_kstwo_isf(self):
+        kstwo = pytest.importorskip("scipy.stats").kstwo
+        for n in (1, 2, 3, 4, 5, 7, 10, 20, 33, 50, 75, 100, 120, 140):
+            for alpha in (0.2, 0.1, 0.05, 0.01, 0.001):
+                # c sits at most the search width above the root
+                gap = critical_value(n, alpha) - float(kstwo.isf(alpha, n))
+                assert -1e-11 <= gap <= 1e-10 + 1e-11, (n, alpha, gap)
 
 
 class TestAsymptoticCriticalValue:

@@ -99,6 +99,19 @@ class TestScenario:
                      null_family=UniformWidth(),
                      data_family=ExponentialRate(), n=5, replicates=5, seed=1)
 
+    def test_point_mass_outside_domain_rejected_up_front(self):
+        # zeta = 0 is the one point of [0, inf) that exponential-rate rejects
+        with pytest.raises(ValueError, match=r"null family 'exponential-rate' .*"
+                                             r"zeta=0\.0: rate zeta must be > 0"):
+            Scenario(zeta_sampler=PointMassSampler(0.0),
+                     null_family=ExponentialRate(), n=5, replicates=5, seed=1)
+        with pytest.raises(ValueError, match=r"data family .*zeta=0\.0"):
+            Scenario(zeta_sampler=PointMassSampler(0.0), null_family=UniformWidth(),
+                     data_family=ExponentialRate(), n=5, replicates=5, seed=1)
+        # an interval reaching 0 stays accepted: it draws 0 with probability 0
+        Scenario(zeta_sampler=UniformSampler(0.0, 1.0),
+                 null_family=ExponentialRate(), n=5, replicates=5, seed=1)
+
     def test_unbounded_sampler_fails_at_runtime_with_index(self):
         # a mixture straddling zero passes the up-front check but must
         # abort on the first replicate that draws a nonpositive rate
