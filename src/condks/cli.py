@@ -13,10 +13,12 @@ import json
 import math
 import os
 import sys
+from array import array
 
 import click
+import numpy as np
 
-from .conditional import ObservationPair
+from .conditional import pit_transform
 from .kolmogorov import (
     asymptotic_cdf,
     asymptotic_critical_value,
@@ -34,8 +36,9 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
-def _read_pairs(path: str) -> list[ObservationPair]:
-    pairs: list[ObservationPair] = []
+def _read_pairs(path: str) -> np.ndarray:
+    """Read an ``xi,zeta`` CSV file into an (n, 2) float array."""
+    xis, zetas = array("d"), array("d")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -54,10 +57,11 @@ def _read_pairs(path: str) -> list[ObservationPair]:
                 ) from None
             if not (math.isfinite(xi) and math.isfinite(zeta)):
                 raise ValueError(f"{path}: line {reader.line_num}: non-finite value")
-            pairs.append(ObservationPair(xi, zeta))
-    if not pairs:
+            xis.append(xi)
+            zetas.append(zeta)
+    if not xis:
         raise ValueError(f"{path}: no data rows")
-    return pairs
+    return np.column_stack((np.frombuffer(xis), np.frombuffer(zetas)))
 
 
 @click.group()
@@ -87,7 +91,7 @@ def cmd_test(data: str, family_spec: str, kind: str, alpha: float, mode: str) ->
                     "zeta=... to the family spec"
                 )
             report = classic_ks_test(
-                [p.xi for p in pairs], lambda x: family.cdf(x, pinned),
+                pairs[:, 0], lambda x: family.cdf(x, pinned),
                 alpha=alpha, mode=mode,
             )
         else:
@@ -241,19 +245,17 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
                     "classic kind needs a fixed conditioning value, add "
                     "zeta=... to the family spec"
                 )
-            ys = sorted(float(family.cdf(p.xi, pinned)) for p in pairs)
-            for y in ys:
-                if not 0.0 <= y <= 1.0:
-                    raise ValueError(f"cdf value {y} outside [0, 1]")
+            ys = np.sort(family.cdf(pairs[:, 0], pinned))
+            outside = ~((ys >= 0.0) & (ys <= 1.0))
+            if outside.any():
+                raise ValueError(f"cdf value {float(ys[outside][0])} outside [0, 1]")
         else:
             if pinned is not None:
                 raise ValueError("zeta= pinning only applies to --kind classic")
-            from .conditional import pit_transform
-
-            ys = [float(v) for v in pit_transform(pairs, family).values]
-        n = len(ys)
+            ys = pit_transform(pairs, family).values
+        n = ys.size
         rows: list[tuple[float, float, float]] = []
-        for i, y in enumerate(ys, start=1):
+        for i, y in enumerate(ys.tolist(), start=1):
             rows.append((y, (i - 1) / n, y))
             rows.append((y, i / n, y))
         if grid_size == 1:
@@ -262,9 +264,9 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
             grid = [j / (grid_size - 1) for j in range(grid_size)]
         else:
             grid = []
-        for x in grid:
-            count = sum(1 for y in ys if y <= x)
-            rows.append((x, count / n, x))
+        # ys is sorted, so the count of values <= x is one binary search.
+        counts = np.searchsorted(ys, grid, side="right").tolist()
+        rows.extend((x, count / n, x) for x, count in zip(grid, counts))
         rows.sort()
     except (ValueError, OSError) as exc:
         _fail(str(exc))

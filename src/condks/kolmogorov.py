@@ -222,6 +222,25 @@ def _itp_search(cdf, target: float, lo: float, hi: float,
     return hi
 
 
+def _level_target(alpha: float) -> float:
+    """1 - alpha, the cdf level a critical value must reach.
+
+    The search compares cdf values with 1 - alpha in double precision.  For
+    an alpha below about 1.1e-16, 1 - alpha rounds to 1, and the search
+    would return the point where the computed cdf first reaches 1, not the
+    alpha-level point, so such an alpha is refused.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    target = 1.0 - alpha
+    if target == 1.0:
+        raise ValueError(
+            f"alpha={alpha!r} is too small: 1 - alpha rounds to 1 in double "
+            "precision, so its critical value cannot be resolved"
+        )
+    return target
+
+
 def critical_value(n: int, alpha: float) -> float:
     """Smallest d with P(D_n <= d) >= 1 - alpha, to within 1e-10.
 
@@ -232,9 +251,7 @@ def critical_value(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    target = 1.0 - alpha
+    target = _level_target(alpha)
     # exact_cdf(n, 1/(2n)) = 0 and exact_cdf(n, 1) = 1 by definition.
     lo, cdf_lo = 1.0 / (2.0 * n), 0.0
     hi = min(1.0, math.sqrt(math.log(2.0 / alpha) / (2.0 * n)))
@@ -248,10 +265,8 @@ def critical_value(n: int, alpha: float) -> float:
 def asymptotic_critical_value(alpha: float) -> float:
     """Smallest x with Q(x) >= 1 - alpha (threshold for sqrt(n) * D_n),
     to within 1e-12."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     # Q(0) = 0 and Q(10) = 1 exactly in double precision.
-    return _itp_search(asymptotic_cdf, 1.0 - alpha, 0.0, 10.0, 0.0, 1.0, 1e-12)
+    return _itp_search(asymptotic_cdf, _level_target(alpha), 0.0, 10.0, 0.0, 1.0, 1e-12)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,11 @@ def _build_report(kind: str, n: int, statistic: float, alpha: float,
 
 def conditional_ks_test(pairs: Iterable, family: ConditionalCdfFamily,
                         alpha: float = 0.05, mode: str = "auto") -> TestReport:
-    """Test whether each xi follows its conditional law F(. | zeta)."""
+    """Test whether each xi follows its conditional law F(. | zeta).
+
+    ``pairs`` takes any input ``pit_transform`` does, including an (n, 2)
+    array of xi and zeta columns.
+    """
     sample = pit_transform(pairs, family)
     statistic = ks_statistic_uniform(sample)
     return _build_report("conditional", sample.n, statistic, alpha, mode)

@@ -130,6 +130,47 @@ class TestTestCommand:
                                    "normal-location:sigma=1"])
         assert res.exit_code == 0
 
+    # The ingest contract: what the reader accepts, and the exact error
+    # text and line number of what it refuses.
+
+    @pytest.mark.parametrize("body", [
+        b"\xef\xbb\xbfxi,zeta\n0.25,0\n-1,1\n",   # UTF-8 byte-order mark
+        b"xi,zeta\n\n0.25,0\n\n\n-1,1\n\n",       # blank lines
+        b'xi,zeta\n"0.25","0"\n" -1 ",1\n',       # quoted fields, with spaces
+        b"xi , zeta\n 0.25 ,0\t\n-1, 1\n",        # whitespace float() strips
+    ])
+    def test_accepted_layouts_give_the_plain_report(self, runner, tmp_path, body):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("xi,zeta\n0.25,0\n-1,1\n")
+        data = tmp_path / "layout.csv"
+        data.write_bytes(body)
+        for args in (["--family", "normal-location:sigma=1"],
+                     ["--kind", "classic", "--family", "normal-location:sigma=1,zeta=0"]):
+            want = runner.invoke(main, ["test", str(plain), *args])
+            got = runner.invoke(main, ["test", str(data), *args])
+            assert want.exit_code == 0, want.output
+            assert (got.exit_code, got.output) == (0, want.output)
+
+    @pytest.mark.parametrize("body, message", [
+        ("xi,zeta\n0,0\n\n1,oops\n", "line 4: non-numeric value"),
+        ("xi,zeta\n0,0\nnan,1\n", "line 3: non-finite value"),
+        ("xi,zeta\n\n0,inf\n", "line 3: non-finite value"),
+        ("xi,zeta\n0,-inf\n", "line 2: non-finite value"),
+        ("xi,zeta\n0,0\n1,2,3\n", "line 3: expected 2 fields"),
+        ("xi,zeta\n0,0\n\n\n1\n", "line 5: expected 2 fields"),
+        ("xi,zeta\n", "no data rows"),
+        ("xi,zeta\n\n\n", "no data rows"),
+        ("", "expected header 'xi,zeta', got None"),
+    ])
+    def test_ingest_errors_name_file_and_line(self, runner, tmp_path, body, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(body)
+        for command in ("test", "curve"):
+            res = runner.invoke(main, [command, str(data), "--family",
+                                       "normal-location:sigma=1"])
+            assert res.exit_code == 2
+            assert res.output == f"error: {data}: {message}\n"
+
 
 class TestDistCommand:
     def test_asymptotic_cdf_at_zero(self, runner):
@@ -182,6 +223,18 @@ class TestDistCommand:
     def test_bad_alpha(self, runner):
         res = runner.invoke(main, ["dist", "-n", "5", "critical", "1.5"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["dist", "-n", "10", "critical", "1e-17"],
+        ["dist", "--asymptotic", "critical", "1e-17"],
+        ["table", "--n-max", "3", "--alpha", "1e-17"],
+    ])
+    def test_alpha_below_double_resolution(self, runner, args):
+        # 1 - 1e-17 rounds to 1, where the searches used to return 1.0 and
+        # 4.2919 instead of about 0.981 and 4.463
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert "1 - alpha rounds to 1" in res.output
 
 
 class TestTableCommand:
@@ -367,6 +420,32 @@ class TestCurveCommand:
                                    "normal-location:sigma=1", "--out", str(out)])
         assert res.exit_code == 0
         assert out.read_text().startswith("x,empirical,reference")
+
+    @pytest.mark.parametrize("kind, family", [
+        ("conditional", "uniform-width"),
+        ("classic", "uniform-width:zeta=0"),
+    ])
+    def test_grid_counts_ties_like_brute_force(self, runner, tmp_path, kind, family):
+        # Most Y values land exactly on points of the 5-point grid
+        # 0, 0.25, ..., 1, where a jump row and a grid row tie on x.
+        pairs = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (-1.0, 0.0), (2.5, 2.0),
+                 (0.25, 0.0), (0.7, 0.0), (1.75, 1.0)]
+        data = tmp_path / "ties.csv"
+        data.write_text("xi,zeta\n" + "".join(f"{x},{z}\n" for x, z in pairs))
+        shift = (lambda z: z) if kind == "conditional" else (lambda z: 0.0)
+        ys = sorted(min(max(x - shift(z), 0.0), 1.0) for x, z in pairs)
+        n = len(ys)
+        rows = []
+        for i, y in enumerate(ys, start=1):
+            rows += [(y, (i - 1) / n, y), (y, i / n, y)]
+        for x in (0.0, 0.25, 0.5, 0.75, 1.0):
+            rows.append((x, sum(1 for y in ys if y <= x) / n, x))
+        want = "x,empirical,reference\n" + "".join(
+            f"{x!r},{e!r},{r!r}\n" for x, e, r in sorted(rows))
+        res = runner.invoke(main, ["curve", str(data), "--kind", kind,
+                                   "--family", family, "--grid", "5"])
+        assert res.exit_code == 0, res.output
+        assert res.output == want
 
     def test_negative_grid_rejected(self, runner, tmp_path):
         data = tmp_path / "one.csv"

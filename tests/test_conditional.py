@@ -48,6 +48,35 @@ class TestNormalQuantile:
                 got = NormalLocation(sigma=1.0).quantile(p, 0.0)
                 assert got == pytest.approx(want, abs=1e-9)
 
+    # The bounds the quantile's docstring states, per band of p.  The
+    # upper bands lose accuracy to cancellation in the Halley step.
+    _BANDS = {
+        "lower": (1e-14, np.concatenate((
+            10.0 ** np.linspace(-307.0, -1.0, 120),
+            np.linspace(0.1, 0.5, 40, endpoint=False),
+            [sys.float_info.min, 3.236280686832203e-252]))),
+        "to 1 - 1e-8": (7.4e-10, 1.0 - 10.0 ** np.linspace(math.log10(0.5), -8.0, 120)),
+        "to 1 - 1e-9": (2.3e-9, 1.0 - 10.0 ** np.linspace(-8.0, -9.0, 40)),
+        "beyond": (8.4e-9, np.concatenate((
+            1.0 - 10.0 ** np.linspace(-9.0, -15.9, 80),
+            [1.0 - 2.8e-14, 1.0 - 2.0 ** -53]))),
+    }
+
+    @pytest.mark.parametrize("band", list(_BANDS))
+    def test_stated_accuracy_bounds(self, band):
+        bound, ps = self._BANDS[band]
+        got = NormalLocation(sigma=1.0).quantile(ps, 0.0)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x, p in zip(got.tolist(), ps.tolist()):
+                # Newton on mpmath's cdf from x: the exact quantile of p
+                # (it agrees with sqrt(2) * erfinv(2p - 1) at 80 digits).
+                want = mpmath.mpf(x)
+                for _ in range(3):
+                    want -= (mpmath.ncdf(want) - p) / mpmath.npdf(want)
+                worst = max(worst, abs(float(x - want)))
+        assert worst <= bound, (band, worst)
+
     def test_cdf_quantile_round_trip(self):
         fam = NormalLocation(sigma=1.0)
         for p in np.linspace(0.001, 0.999, 200):

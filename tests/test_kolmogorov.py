@@ -182,6 +182,15 @@ class TestCriticalValue:
         with pytest.raises(ValueError):
             critical_value(0, 0.05)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 5e-17, 1e-300])
+    def test_alpha_below_double_resolution_rejected(self, alpha):
+        # 1 - alpha == 1.0: the search returned 1.0 for n = 10 (true
+        # critical value about 0.981) and 4.2919 for the limit law (4.463).
+        with pytest.raises(ValueError, match="1 - alpha rounds to 1"):
+            critical_value(10, alpha)
+        with pytest.raises(ValueError, match="1 - alpha rounds to 1"):
+            asymptotic_critical_value(alpha)
+
 
 SWEEP_N = list(range(1, 201)) + [500, 1000, 3000]
 SWEEP_ALPHAS = [1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.5, 0.999, 1.0 - 1e-7]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,25 @@ class TestConditionalKsTest:
         for bad in (0.0, 1.0, -1.0):
             with pytest.raises(ValueError):
                 conditional_ks_test(pairs, NormalLocation(sigma=1.0), alpha=bad)
+
+
+class TestPairArrayInput:
+    def test_column_array_matches_zipped_pairs(self):
+        rng = np.random.default_rng(31)
+        zetas = rng.uniform(-2.0, 2.0, 400)
+        xis = NormalLocation(sigma=1.0).quantile(rng.random(400), zetas)
+        fam = NormalLocation(sigma=1.0)
+        assert (conditional_ks_test(np.column_stack((xis, zetas)), fam)
+                == conditional_ks_test(zip(xis, zetas), fam))
+
+    @pytest.mark.parametrize("shape", [(5, 3), (10,), (3, 2, 2)])
+    def test_other_shapes_rejected_by_name(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            conditional_ks_test(np.zeros(shape), NormalLocation(sigma=1.0))
+
+    def test_empty_array_rejected(self):
+        with pytest.raises(ValueError, match="need at least one observation pair"):
+            conditional_ks_test(np.empty((0, 2)), NormalLocation(sigma=1.0))
 
 
 class TestClassicKsTest:
