@@ -254,10 +254,6 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
                 raise ValueError("zeta= pinning only applies to --kind classic")
             ys = pit_transform(pairs, family).values
         n = ys.size
-        rows: list[tuple[float, float, float]] = []
-        for i, y in enumerate(ys.tolist(), start=1):
-            rows.append((y, (i - 1) / n, y))
-            rows.append((y, i / n, y))
         if grid_size == 1:
             grid = [0.5]
         elif grid_size > 1:
@@ -266,12 +262,23 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
             grid = []
         # ys is sorted, so the count of values <= x is one binary search.
         counts = np.searchsorted(ys, grid, side="right").tolist()
-        rows.extend((x, count / n, x) for x, count in zip(grid, counts))
-        rows.sort()
     except (ValueError, OSError) as exc:
         _fail(str(exc))
+    # The rows (x, empirical, reference) in sorted order, formatted once
+    # per float.  Value i of ys gives (y, (i-1)/n, y) and (y, i/n, y); a
+    # grid point x with count values <= x gives (x, count/n, x), which
+    # sorts right after the jump rows of those values.
+    fractions = [repr(i / n) for i in range(n + 1)]
+    jumps = [f"{y},{before},{y}\n{y},{after},{y}" for y, before, after
+             in zip(map(repr, ys.tolist()), fractions, fractions[1:])]
     lines = ["x,empirical,reference"]
-    lines.extend(f"{x!r},{e!r},{r!r}" for x, e, r in rows)
+    done = 0
+    for x, count in zip(grid, counts):
+        lines.extend(jumps[done:count])
+        x = repr(x)
+        lines.append(f"{x},{fractions[count]},{x}")
+        done = count
+    lines.extend(jumps[done:])
     text = "\n".join(lines) + "\n"
     if out is None:
         click.echo(text, nl=False)

@@ -368,6 +368,20 @@ class TestSimulateCommand:
         assert res.exit_code == 2
 
 
+def curve_text_reference(ys, grid):
+    """condks curve's CSV built by sorting every (x, empirical, reference)
+    row as a tuple and formatting each field with repr."""
+    ys = sorted(ys)
+    n = len(ys)
+    rows = []
+    for i, y in enumerate(ys, start=1):
+        rows += [(y, (i - 1) / n, y), (y, i / n, y)]
+    for x in grid:
+        rows.append((x, sum(1 for y in ys if y <= x) / n, x))
+    return "x,empirical,reference\n" + "".join(
+        f"{x!r},{e!r},{r!r}\n" for x, e, r in sorted(rows))
+
+
 class TestCurveCommand:
     def test_single_pair_jump_rows(self, runner, tmp_path):
         data = tmp_path / "one.csv"
@@ -433,19 +447,33 @@ class TestCurveCommand:
         data = tmp_path / "ties.csv"
         data.write_text("xi,zeta\n" + "".join(f"{x},{z}\n" for x, z in pairs))
         shift = (lambda z: z) if kind == "conditional" else (lambda z: 0.0)
-        ys = sorted(min(max(x - shift(z), 0.0), 1.0) for x, z in pairs)
-        n = len(ys)
-        rows = []
-        for i, y in enumerate(ys, start=1):
-            rows += [(y, (i - 1) / n, y), (y, i / n, y)]
-        for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-            rows.append((x, sum(1 for y in ys if y <= x) / n, x))
-        want = "x,empirical,reference\n" + "".join(
-            f"{x!r},{e!r},{r!r}\n" for x, e, r in sorted(rows))
+        ys = [min(max(x - shift(z), 0.0), 1.0) for x, z in pairs]
         res = runner.invoke(main, ["curve", str(data), "--kind", kind,
                                    "--family", family, "--grid", "5"])
         assert res.exit_code == 0, res.output
-        assert res.output == want
+        assert res.output == curve_text_reference(ys, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("kind, family", [
+        ("conditional", "uniform-width"),
+        ("classic", "uniform-width:zeta=0"),
+    ])
+    @pytest.mark.parametrize("grid_size", [0, 1, 2, 101])
+    def test_bytes_match_sorted_rows(self, runner, tmp_path, kind, family, grid_size):
+        # Two-decimal values: many ties, most of them on the 101-point grid
+        # j/100, some clamped to 0 or 1, some on 1/2 for the 1-point grid.
+        rng = np.random.default_rng(8)
+        xs = np.round(rng.uniform(-0.2, 1.2, 400), 2)
+        zetas = np.zeros(400) if kind == "conditional" else rng.uniform(-5, 5, 400)
+        data = tmp_path / "ties.csv"
+        data.write_text("xi,zeta\n" + "".join(
+            f"{x!r},{z!r}\n" for x, z in zip(xs.tolist(), zetas.tolist())))
+        ys = [min(max(x, 0.0), 1.0) for x in xs.tolist()]
+        grid = ([0.5] if grid_size == 1 else
+                [j / (grid_size - 1) for j in range(grid_size)] if grid_size else [])
+        res = runner.invoke(main, ["curve", str(data), "--kind", kind,
+                                   "--family", family, "--grid", str(grid_size)])
+        assert res.exit_code == 0, res.output
+        assert res.output == curve_text_reference(ys, grid)
 
     def test_negative_grid_rejected(self, runner, tmp_path):
         data = tmp_path / "one.csv"

@@ -28,6 +28,112 @@ def series_oracle(x: float, terms: int = 50) -> float:
 GRID_X = [round(0.1 * i, 10) for i in range(1, 31)]
 
 
+def _transition_matrix_reference(k: int, h: float) -> np.ndarray:
+    """The MTW matrix H built from scratch on every call."""
+    fact_all = np.cumprod(np.concatenate(([1.0], np.arange(1.0, 171.0))))
+    inv_all = 1.0 / fact_all
+    m = 2 * k - 1
+    if m < fact_all.size:
+        fact, inv = fact_all[:m + 1], inv_all[:m + 1]
+    else:
+        fact = np.concatenate((fact_all, np.full(m + 1 - fact_all.size, np.inf)))
+        inv = np.concatenate((inv_all, np.zeros(m + 1 - fact_all.size)))
+    w = np.concatenate((np.zeros(m - 1), inv))
+    H = np.ndarray((m, m), float, w, m * w.itemsize, (w.itemsize, -w.itemsize)).copy()
+    hp = h ** np.arange(1, m + 1)
+    corner = (1.0 - hp[m - 1]) - hp[m - 1]
+    if 2.0 * h - 1.0 > 0.0:
+        corner += (2.0 * h - 1.0) ** m
+    first_column = (1.0 - hp) / fact[1:]
+    H[:, 0] = first_column
+    H[m - 1, :] = first_column[::-1]
+    H[m - 1, 0] = corner / fact[m]
+    return H
+
+
+def exact_cdf_reference(n: int, d: float) -> float:
+    """The MTW law with the n!/n^n factor applied one rescaled step at a
+    time and every scalar read straight from the matrices."""
+    if d <= 0.0:
+        return 0.0
+    if d >= 1.0:
+        return 1.0
+    nd = n * d
+    if nd <= 0.5:
+        return 0.0
+    if 2.0 * math.exp(-2.0 * n * d * d) < 1e-16:
+        return 1.0
+    k = int(nd) + 1
+    H = _transition_matrix_reference(k, k - nd)
+    c = k - 1
+    eV = 0
+    eP = 0
+    V = None
+    P = H
+    g = n
+    while g > 0:
+        if g & 1:
+            V = P.copy() if V is None else V @ P
+            eV += eP
+            if V[c, c] > 1e140:
+                V *= 1e-140
+                eV += 140
+            elif 0.0 < V[c, c] < 1e-140:
+                V *= 1e140
+                eV -= 140
+        g >>= 1
+        if g:
+            P = P @ P
+            eP *= 2
+            if P[c, c] > 1e140:
+                P *= 1e-140
+                eP += 140
+            elif 0.0 < P[c, c] < 1e-140:
+                P *= 1e140
+                eP -= 140
+    s = V[c, c]
+    for i in range(1, n + 1):
+        s *= i / n
+        if s < 1e-140:
+            s *= 1e140
+            eV -= 140
+    s *= 10.0 ** eV
+    return float(min(1.0, max(0.0, s)))
+
+
+def _dkw_cutoff(n: int) -> float:
+    """The d where exact_cdf's 2 exp(-2 n d^2) < 1e-16 shortcut starts."""
+    return math.sqrt(-math.log(0.5e-16) / (2.0 * n))
+
+
+def bit_sweep_points() -> list[tuple[int, float]]:
+    """(n, d) points for the bit-identity check against the reference."""
+    up, down = math.inf, -math.inf
+    rng = np.random.default_rng(20031)
+    points = []
+    for n in range(1, 201):
+        lower, cut = 1.0 / (2.0 * n), _dkw_cutoff(n)
+        ds = list(rng.random(8))  # over (0, 1), mostly past the cutoff
+        ds += list(lower + (min(cut, 1.0) - lower) * rng.random(12))
+        ds += [lower, math.nextafter(lower, up), lower * (1.0 + 1e-3)]
+        for j in (1, 2, n // 2, n - 1):
+            if j >= 1:
+                ds += [j / n, math.nextafter(j / n, down), math.nextafter(j / n, up)]
+        if n <= 10 or n % 50 == 0 or n == 140:
+            ds += [math.nextafter(cut, down), cut, math.nextafter(cut, up)]
+        points += [(n, d) for d in ds]
+    # Every product n!/n^n * V[c, c] at n >= 1000 is below 1e-140, so each
+    # of these takes the rescaling loop; nd is kept under 60 for speed.
+    for n in (500, 1000, 3000):
+        lower = 1.0 / (2.0 * n)
+        ds = list(lower + (60.0 / n - lower) * rng.random(8))
+        ds += [lower, math.nextafter(lower, up), 3.0 / n, math.nextafter(3.0 / n, up),
+               float(rng.random())]
+        points += [(n, d) for d in ds]
+    points += [(10_000, d) for d in (0.0051, 0.0136, 0.5 / 10_000 * 1.5)]
+    return points
+
+
 class TestAsymptoticCdf:
     def test_matches_high_precision_series(self):
         for x in GRID_X:
@@ -111,6 +217,12 @@ class TestExactCdf:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             exact_cdf(0, 0.5)
+
+    def test_bits_match_reference(self):
+        for n, d in bit_sweep_points():
+            got = exact_cdf(n, d)
+            assert type(got) is float
+            assert got == exact_cdf_reference(n, d), (n, d)
 
 
 class TestPValue:
