@@ -123,7 +123,7 @@ def bit_sweep_points() -> list[tuple[int, float]]:
             ds += [math.nextafter(cut, down), cut, math.nextafter(cut, up)]
         points += [(n, d) for d in ds]
     # Every product n!/n^n * V[c, c] at n >= 1000 is below 1e-140, so each
-    # of these takes the rescaling loop; nd is kept under 60 for speed.
+    # of these rescales in the n!/n^n loop; nd is kept under 60 for speed.
     for n in (500, 1000, 3000):
         lower = 1.0 / (2.0 * n)
         ds = list(lower + (60.0 / n - lower) * rng.random(8))
@@ -220,6 +220,11 @@ class TestExactCdf:
 
     def test_bits_match_reference(self):
         for n, d in bit_sweep_points():
+            got = exact_cdf(n, d)
+            assert type(got) is float
+            assert got == exact_cdf_reference(n, d), (n, d)
+        # A numpy integer n still gives a Python float.
+        for n, d in ((np.int64(50), 0.2), (np.int64(1000), 0.02), (np.int64(3), np.float64(0.4))):
             got = exact_cdf(n, d)
             assert type(got) is float
             assert got == exact_cdf_reference(n, d), (n, d)
