@@ -16,9 +16,9 @@ An ``exact_cdf`` call runs at most 2 log2(n) m x m matrix products; the
 rest of its time is fixed Python and numpy work per call (building H,
 the n!/n^n factor, the rescale checks).  At n = 50 (m = 23) the
 products are about half of a 30-50 us call, and from n of a few
-hundred they are most of it.  The Toeplitz band of H is therefore built
-once at import, the n!/n^n factor is taken on a Python float, and
-nothing keyed by n or d is kept between calls.
+hundred they are most of it.  The Toeplitz band of H and the exponents
+of h are therefore built once at import, the n!/n^n factor is taken on
+a Python float, and nothing keyed by n or d is kept between calls.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ _INV_FACT = 1.0 / _FACT
 # For m < 171, H's Toeplitz part read backwards from _BAND[_FACT.size - 1]:
 # 169 zeros, then 1/t! at _BAND[169 + t].
 _BAND = np.concatenate((np.zeros(_FACT.size - 2), _INV_FACT))
+# Exponents 1..170 for the powers of h in the first column; slicing them
+# saves about 0.6 us per call over a new np.arange.
+_POWERS = np.arange(1.0, 171.0)
 
 
 def _transition_matrix(k: int, h: float) -> np.ndarray:
@@ -84,14 +87,16 @@ def _transition_matrix(k: int, h: float) -> np.ndarray:
     if m < _FACT.size:
         fact = _FACT[:m + 1]
         band, start = _BAND, _FACT.size - 1
+        powers = _POWERS[:m]
     else:
         fact = np.concatenate((_FACT, np.full(m + 1 - _FACT.size, np.inf)))
         inv = np.concatenate((_INV_FACT, np.zeros(m + 1 - _FACT.size)))
         band, start = np.concatenate((np.zeros(m - 1), inv)), m
+        powers = np.arange(1.0, m + 1.0)
     # Toeplitz: H[i, j] = band[start + i - j], which is 1/(i - j + 1)!.
     step = band.itemsize
     H = np.ndarray((m, m), float, band, start * step, (step, -step)).copy()
-    hp = h ** np.arange(1, m + 1)
+    hp = h ** powers
     last = hp[m - 1]
     corner = (1.0 - last) - last
     if 2.0 * h - 1.0 > 0.0:
