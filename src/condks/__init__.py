@@ -13,21 +13,16 @@ from .conditional import (
     ConstantFamily,
     ExponentialRate,
     NormalLocation,
-    ObservationPair,
     TabulatedFamily,
     UniformWidth,
     pit_transform,
-    sample_conditional,
 )
 from .empirical import (
     SortedUnitSample,
-    ecdf_eval,
-    ks_statistic_cdf,
     ks_statistic_uniform,
 )
 from .kolmogorov import (
     AUTO_EXACT_LIMIT,
-    KolmogorovDistribution,
     asymptotic_cdf,
     asymptotic_critical_value,
     critical_value,
@@ -56,9 +51,7 @@ __all__ = [
     "ConstantFamily",
     "ExponentialRate",
     "GaussianMixtureSampler",
-    "KolmogorovDistribution",
     "NormalLocation",
-    "ObservationPair",
     "PointMassSampler",
     "PowerEstimate",
     "Scenario",
@@ -72,9 +65,7 @@ __all__ = [
     "classic_ks_test",
     "conditional_ks_test",
     "critical_value",
-    "ecdf_eval",
     "exact_cdf",
-    "ks_statistic_cdf",
     "ks_statistic_uniform",
     "load_scenario",
     "meta_test",
@@ -85,6 +76,5 @@ __all__ = [
     "power_estimate",
     "replicate_rng",
     "run_replicates",
-    "sample_conditional",
     "__version__",
 ]

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from array import array
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -28,7 +29,7 @@ from .kolmogorov import (
 )
 from .monte_carlo import meta_test, power_from_statistics, run_replicates
 from .specs import load_scenario, parse_family_spec
-from .testing import classic_ks_test, conditional_ks_test
+from .testing import conditional_ks_test
 
 
 def _fail(message: str) -> None:
@@ -64,6 +65,24 @@ def _read_pairs(path: str) -> np.ndarray:
     return np.column_stack((np.frombuffer(xis), np.frombuffer(zetas)))
 
 
+def _read_input(path: str, family_spec: str, kind: str):
+    """The pairs in ``path`` and the spec's family, ready for the
+    conditional path: --kind classic needs a pinned zeta, which replaces
+    the zeta column; --kind conditional refuses one."""
+    pairs = _read_pairs(path)
+    family, pinned = parse_family_spec(family_spec)
+    if kind == "classic":
+        if pinned is None:
+            raise ValueError(
+                "classic kind needs a fixed conditioning value, add "
+                "zeta=... to the family spec"
+            )
+        pairs[:, 1] = pinned
+    elif pinned is not None:
+        raise ValueError("zeta= pinning only applies to --kind classic")
+    return pairs, family
+
+
 @click.group()
 def main() -> None:
     """KS tests for plain samples and covariate-conditioned pairs."""
@@ -82,22 +101,9 @@ def main() -> None:
 def cmd_test(data: str, family_spec: str, kind: str, alpha: float, mode: str) -> None:
     """Run a KS test on the pairs in DATA and print a JSON report."""
     try:
-        pairs = _read_pairs(data)
-        family, pinned = parse_family_spec(family_spec)
-        if kind == "classic":
-            if pinned is None:
-                raise ValueError(
-                    "classic kind needs a fixed conditioning value, add "
-                    "zeta=... to the family spec"
-                )
-            report = classic_ks_test(
-                pairs[:, 0], lambda x: family.cdf(x, pinned),
-                alpha=alpha, mode=mode,
-            )
-        else:
-            if pinned is not None:
-                raise ValueError("zeta= pinning only applies to --kind classic")
-            report = conditional_ks_test(pairs, family, alpha=alpha, mode=mode)
+        pairs, family = _read_input(data, family_spec, kind)
+        report = replace(conditional_ks_test(pairs, family, alpha=alpha, mode=mode),
+                         test_kind=kind)
     except (ValueError, OSError) as exc:
         _fail(str(exc))
     click.echo(report.to_json())
@@ -189,8 +195,9 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
     power scenarios, whose statistics are not null-distributed).
     """
     try:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"--alpha must lie in (0, 1), got {alpha}")
+        for option, level in (("--alpha", alpha), ("--meta-alpha", meta_alpha)):
+            if not 0.0 < level < 1.0:
+                raise ValueError(f"{option} must lie in (0, 1), got {level}")
         config = load_scenario(scenario)
         stats = run_replicates(config)
         meta = meta_test(stats, config.n, alpha=meta_alpha)
@@ -237,22 +244,8 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
     try:
         if grid_size < 0:
             raise ValueError(f"--grid must be >= 0, got {grid_size}")
-        pairs = _read_pairs(data)
-        family, pinned = parse_family_spec(family_spec)
-        if kind == "classic":
-            if pinned is None:
-                raise ValueError(
-                    "classic kind needs a fixed conditioning value, add "
-                    "zeta=... to the family spec"
-                )
-            ys = np.sort(family.cdf(pairs[:, 0], pinned))
-            outside = ~((ys >= 0.0) & (ys <= 1.0))
-            if outside.any():
-                raise ValueError(f"cdf value {float(ys[outside][0])} outside [0, 1]")
-        else:
-            if pinned is not None:
-                raise ValueError("zeta= pinning only applies to --kind classic")
-            ys = pit_transform(pairs, family).values
+        pairs, family = _read_input(data, family_spec, kind)
+        ys = pit_transform(pairs, family).values
         n = ys.size
         if grid_size == 1:
             grid = [0.5]

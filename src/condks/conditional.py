@@ -20,7 +20,7 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -48,9 +48,11 @@ _P_MIN = sys.float_info.min
 
 
 def _libm(fn, a: np.ndarray) -> np.ndarray:
-    # Elementwise through the scalar ``math`` function on purpose: numpy's
-    # SIMD exp/log need not round like libm, and the replicate statistics
-    # of a seed are frozen to the bit.
+    # Maps a scalar function over the elements as Python floats.  The
+    # ``math`` functions go through it on purpose: numpy's SIMD exp/log
+    # need not round like libm, and the replicate statistics of a seed are
+    # frozen to the bit.  ConstantFamily's callables go through it because
+    # they take one float.
     return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
@@ -99,14 +101,6 @@ def _norm_quantile(p: np.ndarray) -> np.ndarray:
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def _apply_scalar_fn(fn, arr):
-    # frompyfunc returns a bare scalar for 0-d input, an object array else
-    out = fn(arr)
-    if isinstance(out, np.ndarray):
-        return out.astype(float)
-    return np.asarray(float(out))
-
-
 def _broadcast(a, b):
     A = np.asarray(a, dtype=float)
     B = np.asarray(b, dtype=float)
@@ -118,22 +112,18 @@ def _unwrap(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class ObservationPair:
-    """One observation xi with its conditioning value zeta."""
-
-    xi: float
-    zeta: float
-
-
 class ConditionalCdfFamily(ABC):
     """A family of CDFs indexed by a real conditioning parameter zeta.
 
     ``cdf`` and ``quantile`` broadcast over numpy arrays and return a
-    plain float for scalar input.
+    plain float for scalar input.  The zeta domain is the finite reals
+    above ``zeta_lower``, an open bound.
     """
 
     name: str = "family"
+    zeta_lower: float = -math.inf
+    # What a zeta is called in the domain messages.
+    _zeta_label = "zeta"
 
     @abstractmethod
     def cdf(self, x, zeta):
@@ -147,17 +137,15 @@ class ConditionalCdfFamily(ABC):
         """Reason the given zeta is outside the family's domain, or None."""
         if not math.isfinite(zeta):
             return "zeta must be finite"
+        if zeta <= self.zeta_lower:
+            return f"{self._zeta_label} must be > {self.zeta_lower:g}"
         return None
-
-    def invalid_zetas(self, zetas: np.ndarray) -> np.ndarray:
-        """Mask of the zetas ``zeta_error`` rejects; keep the two in step."""
-        return ~np.isfinite(zetas)
 
     def validate_zetas(self, zetas) -> None:
         """Raise ValueError naming the first invalid zeta and its index
         (the flat, C-order index for an array of more than one dimension)."""
         arr = np.asarray(zetas, dtype=float).ravel()
-        bad = np.flatnonzero(self.invalid_zetas(arr))
+        bad = np.flatnonzero(~(np.isfinite(arr) & (arr > self.zeta_lower)))
         if bad.size:
             idx = int(bad[0])
             z = float(arr[idx])
@@ -192,6 +180,8 @@ class ExponentialRate(ConditionalCdfFamily):
     """Exponential with rate zeta (zeta > 0), supported on [0, inf)."""
 
     name = "exponential-rate"
+    zeta_lower = 0.0
+    _zeta_label = "rate zeta"
 
     def cdf(self, x, zeta):
         X, Z, scalar = _broadcast(x, zeta)
@@ -203,16 +193,6 @@ class ExponentialRate(ConditionalCdfFamily):
         with np.errstate(divide="ignore"):
             out = -np.log1p(-P) / Z
         return _unwrap(out, scalar)
-
-    def zeta_error(self, zeta: float) -> str | None:
-        if not math.isfinite(zeta):
-            return "zeta must be finite"
-        if zeta <= 0.0:
-            return "rate zeta must be > 0"
-        return None
-
-    def invalid_zetas(self, zetas: np.ndarray) -> np.ndarray:
-        return ~(np.isfinite(zetas) & (zetas > 0.0))
 
 
 @dataclass(frozen=True)
@@ -398,61 +378,56 @@ class ConstantFamily(ConditionalCdfFamily):
 
     def cdf(self, x, zeta):
         X, _, scalar = _broadcast(x, zeta)
-        out = _apply_scalar_fn(np.frompyfunc(self._cdf_fn, 1, 1), X)
-        return _unwrap(out, scalar)
+        return _unwrap(_libm(self._cdf_fn, X), scalar)
 
     def quantile(self, p, zeta):
         if self._quantile_fn is None:
             raise ValueError("this constant family has no quantile function")
         P, _, scalar = _broadcast(p, zeta)
-        out = _apply_scalar_fn(np.frompyfunc(self._quantile_fn, 1, 1), P)
-        return _unwrap(out, scalar)
+        return _unwrap(_libm(self._quantile_fn, P), scalar)
 
 
-def _split_pairs(pairs: Iterable) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pairs, np.ndarray):
-        if pairs.size == 0:
-            raise ValueError("need at least one observation pair")
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(
-                f"a pair array must have shape (n, 2), got shape {pairs.shape}"
-            )
-        columns = pairs.astype(float, copy=False)
-        return columns[:, 0], columns[:, 1]
-    xis: list[float] = []
-    zetas: list[float] = []
-    for item in pairs:
-        if isinstance(item, ObservationPair):
-            xis.append(item.xi)
-            zetas.append(item.zeta)
-        else:
-            xi, zeta = item
-            xis.append(float(xi))
-            zetas.append(float(zeta))
-    if not xis:
-        raise ValueError("need at least one observation pair")
-    return np.asarray(xis), np.asarray(zetas)
+def _sorted_pit(xi: np.ndarray, zeta: np.ndarray,
+               family: ConditionalCdfFamily) -> np.ndarray:
+    """Y = F(xi | zeta), sorted along the last axis.
+
+    The one transform step of the package: ``pit_transform`` runs it on a
+    sample, ``run_replicates`` on blocks of replicates.  A ValueError names
+    the first invalid zeta, or the first cdf value outside [0, 1], with its
+    flat index.
+    """
+    family.validate_zetas(zeta)
+    y = np.asarray(family.cdf(xi, zeta), dtype=float)
+    inside = (y >= 0.0) & (y <= 1.0)
+    if not inside.all():
+        idx = int(np.flatnonzero(~inside)[0])
+        raise ValueError(
+            f"cdf value {float(y.flat[idx])} at index {idx} from family "
+            f"'{family.name}' is outside [0, 1]"
+        )
+    return np.sort(y, axis=-1)
 
 
 def pit_transform(pairs: Iterable, family: ConditionalCdfFamily) -> SortedUnitSample:
     """Map pairs (xi, zeta) to sorted Y = F(xi | zeta).
 
-    ``pairs`` is an iterable of ``ObservationPair`` or (xi, zeta) tuples,
-    or an (n, 2) array whose columns are xi and zeta.  Under the
-    conditional null the output is an ordered uniform sample, ready for
-    ``ks_statistic_uniform``.  Exact 0 or 1 values (possible for families
-    with bounded support) are kept as-is.
+    ``pairs`` is an (n, 2) array whose columns are xi and zeta, or an
+    iterable of (xi, zeta) tuples.  Under the conditional null the output
+    is an ordered uniform sample, ready for ``ks_statistic_uniform``.
+    Exact 0 or 1 values (possible for families with bounded support) are
+    kept as-is.
     """
-    xi, zeta = _split_pairs(pairs)
+    if not isinstance(pairs, np.ndarray):
+        pairs = np.asarray(list(pairs), dtype=float)
+    if pairs.size == 0:
+        raise ValueError("need at least one observation pair")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(
+            f"a pair array must have shape (n, 2), got shape {pairs.shape}"
+        )
+    columns = pairs.astype(float, copy=False)
+    xi, zeta = columns[:, 0], columns[:, 1]
     if not np.all(np.isfinite(xi)):
         bad = int(np.argwhere(~np.isfinite(xi))[0][0])
         raise ValueError(f"xi={xi[bad]} at index {bad} is not finite")
-    family.validate_zetas(zeta)
-    y = np.atleast_1d(np.asarray(family.cdf(xi, zeta), dtype=float))
-    return SortedUnitSample(np.sort(y))
-
-
-def sample_conditional(family: ConditionalCdfFamily, zeta: float, u: float) -> float:
-    """Draw from F(. | zeta) by inverse transform of the uniform value u."""
-    family.validate_zetas([zeta])
-    return float(family.quantile(u, zeta))
+    return SortedUnitSample(_sorted_pit(xi, zeta, family))

@@ -25,7 +25,6 @@ d is kept between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,26 +291,3 @@ def asymptotic_critical_value(alpha: float) -> float:
     # Q(0) = 0 and Q(10) = 1 exactly in double precision.
     return _itp_search(asymptotic_cdf, _level_target(alpha), 0.0, 10.0, 0.0, 1.0, 1e-12)
 
-
-@dataclass(frozen=True)
-class KolmogorovDistribution:
-    """CDF evaluator, either the exact law for a given n or the limit law.
-
-    ``KolmogorovDistribution(n=20).cdf(d)`` is P(D_20 <= d);
-    ``KolmogorovDistribution().cdf(x)`` is Q(x).
-    """
-
-    n: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.n}")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.n is not None
-
-    def cdf(self, value: float) -> float:
-        if self.n is None:
-            return asymptotic_cdf(value)
-        return exact_cdf(self.n, value)

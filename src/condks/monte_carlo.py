@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .conditional import ConditionalCdfFamily, ExponentialRate
+from .conditional import ConditionalCdfFamily, _sorted_pit
 from .empirical import SortedUnitSample, ks_statistic_rows, ks_statistic_uniform
 from .kolmogorov import exact_cdf, p_value
 from .testing import TestReport, _build_report
@@ -106,10 +106,10 @@ def _check_sampler_domain(sampler: ZetaSampler, family: ConditionalCdfFamily,
     # domain bound, is rejected here; unbounded samplers are left to
     # per-replicate checks.
     lo, hi = sampler.support()
-    if isinstance(family, ExponentialRate) and lo < 0.0 and math.isfinite(lo):
+    if math.isfinite(lo) and lo < family.zeta_lower:
         raise ValueError(
-            f"{role} family '{family.name}' needs zeta > 0 but the sampler "
-            f"can draw values down to {lo}"
+            f"{role} family '{family.name}' needs zeta > {family.zeta_lower:g} "
+            f"but the sampler can draw values down to {lo}"
         )
     if lo == hi and family.zeta_error(lo) is not None:
         raise ValueError(
@@ -163,14 +163,8 @@ BLOCK_VALUES = 8192
 def _statistics(scenario: Scenario, zetas: np.ndarray, u: np.ndarray) -> np.ndarray:
     """KS statistics of the rows of (rows, n) blocks of zetas and uniforms."""
     scenario.data_family.validate_zetas(zetas)
-    scenario.null_family.validate_zetas(zetas)
     xi = np.asarray(scenario.data_family.quantile(u, zetas), dtype=float)
-    y = np.sort(np.asarray(scenario.null_family.cdf(xi, zetas), dtype=float), axis=1)
-    if not np.all((y >= 0.0) & (y <= 1.0)):
-        raise ValueError(
-            f"family '{scenario.null_family.name}' returned cdf values outside [0, 1]"
-        )
-    return ks_statistic_rows(y)
+    return ks_statistic_rows(_sorted_pit(xi, zetas, scenario.null_family))
 
 
 def run_replicates(scenario: Scenario) -> np.ndarray:

@@ -2,20 +2,22 @@
 
 Both entry points produce a TestReport: the conditional test transforms
 (xi, zeta) pairs through their family's CDF and compares the result to
-the uniform law, the classic test compares raw observations to a fixed
-reference CDF.  Since the conditional statistic is the classic statistic
-of the transformed values, both share one reporting path and one
-critical-value table.
+the uniform law.  The classic test of raw observations against a fixed
+reference CDF is the conditional test on a family that ignores zeta, so
+both share one transform, one reporting path and one critical-value
+table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from .conditional import ConditionalCdfFamily, pit_transform
-from .empirical import ks_statistic_cdf, ks_statistic_uniform
+import numpy as np
+
+from .conditional import ConditionalCdfFamily, ConstantFamily, pit_transform
+from .empirical import ks_statistic_uniform
 from .kolmogorov import _resolve_mode, p_value
 
 
@@ -81,7 +83,9 @@ def conditional_ks_test(pairs: Iterable, family: ConditionalCdfFamily,
 
 def classic_ks_test(xs: Iterable[float], cdf: Callable[[float], float],
                     alpha: float = 0.05, mode: str = "auto") -> TestReport:
-    """One-sample KS test of xs against the continuous reference cdf."""
-    xs = list(xs)
-    statistic = ks_statistic_cdf(xs, cdf)
-    return _build_report("classic", len(xs), statistic, alpha, mode)
+    """One-sample KS test of xs against the continuous reference cdf: the
+    conditional test on ``ConstantFamily(cdf)``, with every zeta 0."""
+    xi = np.asarray(list(xs), dtype=float)
+    pairs = np.column_stack((xi, np.zeros(xi.size)))
+    report = conditional_ks_test(pairs, ConstantFamily(cdf), alpha, mode)
+    return replace(report, test_kind="classic")

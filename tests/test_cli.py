@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from condks import NormalLocation, asymptotic_critical_value, exact_cdf
+from condks import (
+    NormalLocation,
+    asymptotic_critical_value,
+    exact_cdf,
+    ks_statistic_uniform,
+    p_value,
+    parse_family_spec,
+)
 from condks.cli import main
 
 
@@ -362,6 +369,19 @@ class TestSimulateCommand:
         assert "replicate" not in res.output
         assert not (tmp_path / "x").exists()
 
+    def test_meta_alpha_checked_before_the_run(self, runner, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr("condks.cli.run_replicates", runs.append)
+        cfg = tmp_path / "scen.cfg"
+        write_scenario(cfg, CALIBRATION_CFG)
+        out = tmp_path / "results"
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out),
+                                   "--meta-alpha", "2"])
+        assert res.exit_code == 2
+        assert res.output == "error: --meta-alpha must lie in (0, 1), got 2.0\n"
+        assert runs == []
+        assert not (out / "statistics.csv").exists()
+
     def test_missing_scenario_file(self, runner, tmp_path):
         res = runner.invoke(main, ["simulate", str(tmp_path / "no.cfg"),
                                    "--out", str(tmp_path / "x")])
@@ -481,3 +501,57 @@ class TestCurveCommand:
         res = runner.invoke(main, ["curve", str(data), "--family",
                                    "normal-location:sigma=1", "--grid", "-1"])
         assert res.exit_code == 2
+
+
+def write_normal_table(path):
+    """A 'zeta,x,cdf' grid of the normal location family, for tabulated specs."""
+    fam = NormalLocation(sigma=1.0)
+    rows = ["zeta,x,cdf"]
+    for z in (0.0, 0.5, 1.0):
+        for x in np.linspace(-3.0, 4.0, 15).tolist():
+            rows.append(f"{z!r},{x!r},{fam.cdf(x, z)!r}")
+    path.write_text("\n".join(rows) + "\n")
+
+
+class TestClassicKindMatchesScalarCdf:
+    """--kind classic maps every xi through the pinned cdf in one array
+    call; its output must equal one scalar cdf call per value."""
+
+    FAMILIES = ["normal-location:sigma=2,zeta=0.5", "exponential-rate:zeta=1.5",
+                "uniform-width:zeta=-0.25", "tabulated:path={table},zeta=0.3"]
+    FAMILY_IDS = [spec.split(":")[0] for spec in FAMILIES]
+
+    @pytest.fixture
+    def case(self, tmp_path, request):
+        table = tmp_path / "table.csv"
+        write_normal_table(table)
+        spec = request.param.format(table=table)
+        rng = np.random.default_rng(23)
+        xs = rng.normal(0.5, 1.5, 3000)
+        data = tmp_path / "d.csv"
+        data.write_text("xi,zeta\n" + "".join(
+            f"{x!r},{z!r}\n" for x, z in zip(xs.tolist(), rng.uniform(-9, 9, 3000).tolist())))
+        family, pinned = parse_family_spec(spec)
+        ys = sorted(float(family.cdf(x, pinned)) for x in xs.tolist())
+        return data, spec, ys
+
+    @pytest.mark.parametrize("case", FAMILIES, indirect=True, ids=FAMILY_IDS)
+    def test_test_report(self, runner, case):
+        data, spec, ys = case
+        statistic = ks_statistic_uniform(ys)
+        p = p_value(statistic, len(ys), "exact")
+        res = runner.invoke(main, ["test", str(data), "--kind", "classic",
+                                   "--family", spec, "--mode", "exact"])
+        assert res.output == json.dumps({
+            "test_kind": "classic", "n": len(ys), "statistic": statistic,
+            "p_value": p, "mode": "exact", "alpha": 0.05, "reject": p < 0.05,
+        }) + "\n"
+        assert res.exit_code == int(p < 0.05)
+
+    @pytest.mark.parametrize("case", FAMILIES, indirect=True, ids=FAMILY_IDS)
+    def test_curve_rows(self, runner, case):
+        data, spec, ys = case
+        res = runner.invoke(main, ["curve", str(data), "--kind", "classic",
+                                   "--family", spec, "--grid", "5"])
+        assert res.exit_code == 0, res.output
+        assert res.output == curve_text_reference(ys, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -9,13 +10,11 @@ from condks import (
     ConstantFamily,
     ExponentialRate,
     NormalLocation,
-    ObservationPair,
     TabulatedFamily,
     UniformWidth,
     ks_statistic_uniform,
     p_value,
     pit_transform,
-    sample_conditional,
 )
 
 ANALYTIC_FAMILIES = [
@@ -258,6 +257,20 @@ class TestZetaValidation:
         with pytest.raises(ValueError, match="finite"):
             family.validate_zetas([0.5, math.inf])
 
+    def test_lower_bound_is_the_domain(self):
+        # A custom family narrows its domain by setting the bound alone.
+        class ShiftedWindow(UniformWidth):
+            zeta_lower = 1.5
+
+        fam = ShiftedWindow()
+        assert fam.zeta_error(1.6) is None
+        assert fam.zeta_error(1.5) == "zeta must be > 1.5"
+        assert fam.zeta_error(-math.inf) == "zeta must be finite"
+        with pytest.raises(ValueError, match=re.escape(
+                "zeta=1.5 at index 2 invalid for family 'uniform-width': "
+                "zeta must be > 1.5")):
+            fam.validate_zetas([2.0, 3.0, 1.5, 1.0])
+
 
 class TestPitTransform:
     @pytest.mark.parametrize(
@@ -287,14 +300,13 @@ class TestPitTransform:
 
     def test_exact_zero_and_one_retained(self):
         # window edges give Y exactly 0 and 1, which must survive
-        pairs = [ObservationPair(2.0, 2.0), ObservationPair(4.0, 3.0),
-                 ObservationPair(3.1, 3.0)]
+        pairs = [(2.0, 2.0), (4.0, 3.0), (3.1, 3.0)]
         s = pit_transform(pairs, UniformWidth())
         assert s.values[0] == 0.0
         assert s.values[-1] == 1.0
 
     def test_pairs_and_tuples_equivalent(self):
-        pairs = [ObservationPair(0.3, 0.1), ObservationPair(-0.5, 1.0)]
+        pairs = np.array([[0.3, 0.1], [-0.5, 1.0]])
         tuples = [(0.3, 0.1), (-0.5, 1.0)]
         fam = NormalLocation(sigma=1.0)
         assert np.array_equal(pit_transform(pairs, fam).values,
@@ -313,15 +325,11 @@ class TestPitTransform:
         with pytest.raises(ValueError, match="index 1"):
             pit_transform(pairs, ExponentialRate())
 
-
-class TestSampleConditional:
-    def test_matches_quantile(self):
-        fam = ExponentialRate()
-        assert sample_conditional(fam, 2.0, 0.5) == fam.quantile(0.5, 2.0)
-
-    def test_validates_zeta(self):
-        with pytest.raises(ValueError):
-            sample_conditional(ExponentialRate(), -1.0, 0.5)
+    def test_cdf_outside_unit_interval_names_value_and_index(self):
+        fam = ConstantFamily(lambda x: 2.0 * x)
+        with pytest.raises(ValueError, match=re.escape(
+                "cdf value 1.2 at index 2 from family 'constant' is outside [0, 1]")):
+            pit_transform([(0.1, 0.0), (0.5, 0.0), (0.6, 0.0), (0.9, 0.0)], fam)
 
 
 def quantile_one_reference(fam: TabulatedFamily, p: float, zeta: float) -> float:
@@ -476,6 +484,13 @@ class TestConstantFamily:
         fam = ConstantFamily(lambda x: x)
         with pytest.raises(ValueError, match="quantile"):
             fam.quantile(0.5, 0.0)
+
+    def test_callable_gets_python_floats(self):
+        seen = []
+        fam = ConstantFamily(lambda x: seen.append(x) or 0.5)
+        assert np.array_equal(fam.cdf(np.array([[0.25, -1.0]]), 0.0), [[0.5, 0.5]])
+        assert seen == [0.25, -1.0]
+        assert all(type(x) is float for x in seen)
 
     def test_with_quantile(self):
         fam = ConstantFamily(lambda x: 1.0 / (1.0 + math.exp(-x)),

@@ -3,8 +3,6 @@ import pytest
 
 from condks import (
     SortedUnitSample,
-    ecdf_eval,
-    ks_statistic_cdf,
     ks_statistic_uniform,
 )
 
@@ -19,11 +17,6 @@ def brute_force_uniform_stat(u: np.ndarray, grid_size: int = 20_000) -> float:
 
 
 class TestSortedUnitSample:
-    def test_from_unsorted_sorts(self):
-        s = SortedUnitSample.from_unsorted([0.9, 0.1, 0.5])
-        assert np.array_equal(s.values, [0.1, 0.5, 0.9])
-        assert s.n == 3
-
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="sorted"):
             SortedUnitSample(np.array([0.5, 0.2]))
@@ -43,23 +36,6 @@ class TestSortedUnitSample:
     def test_endpoints_allowed(self):
         s = SortedUnitSample(np.array([0.0, 1.0]))
         assert s.n == 2
-
-
-class TestEcdfEval:
-    def test_step_values(self):
-        sample = [0.2, 0.5, 0.5, 0.9]
-        assert ecdf_eval(sample, 0.1) == 0.0
-        assert ecdf_eval(sample, 0.2) == 0.25
-        assert ecdf_eval(sample, 0.5) == 0.75
-        assert ecdf_eval(sample, 0.89) == 0.75
-        assert ecdf_eval(sample, 2.0) == 1.0
-
-    def test_unsorted_input_ok(self):
-        assert ecdf_eval([3.0, -1.0, 0.5], 0.5) == pytest.approx(2 / 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf_eval([], 0.5)
 
 
 class TestKsStatisticUniform:
@@ -96,29 +72,3 @@ class TestKsStatisticUniform:
         with pytest.raises(ValueError):
             ks_statistic_uniform([0.7, 0.2])
 
-
-class TestKsStatisticCdf:
-    def test_identity_reduction(self):
-        # a strictly increasing constant-free map changes nothing
-        rng = np.random.default_rng(99)
-        u = rng.random(40)
-        direct = ks_statistic_uniform(np.sort(u))
-        assert ks_statistic_cdf(u, lambda x: x) == direct
-
-    def test_monotone_map_invariance(self):
-        # push data and reference through G(x) = x^2 on the unit interval
-        rng = np.random.default_rng(1234)
-        xs = rng.random(60)
-        base = ks_statistic_cdf(xs, lambda x: x)
-        squared = ks_statistic_cdf(xs ** 2, lambda t: float(np.sqrt(t)))
-        assert squared == pytest.approx(base, abs=1e-12)
-
-    def test_rejects_cdf_output_outside_unit_interval(self):
-        with pytest.raises(ValueError, match="outside"):
-            ks_statistic_cdf([0.5], lambda x: 1.2)
-
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            ks_statistic_cdf([], lambda x: x)
-        with pytest.raises(ValueError):
-            ks_statistic_cdf([np.inf], lambda x: 0.5)

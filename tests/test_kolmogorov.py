@@ -7,7 +7,6 @@ import pytest
 import condks.kolmogorov
 from condks import (
     AUTO_EXACT_LIMIT,
-    KolmogorovDistribution,
     asymptotic_cdf,
     asymptotic_critical_value,
     critical_value,
@@ -371,19 +370,3 @@ class TestAsymptoticCriticalValue:
         for alpha in (0.2, 0.1, 0.05, 0.01):
             x = asymptotic_critical_value(alpha)
             assert asymptotic_cdf(x) == pytest.approx(1.0 - alpha, abs=1e-9)
-
-
-class TestKolmogorovDistribution:
-    def test_exact_dispatch(self):
-        dist = KolmogorovDistribution(n=20)
-        assert dist.is_exact
-        assert dist.cdf(0.3) == exact_cdf(20, 0.3)
-
-    def test_asymptotic_dispatch(self):
-        dist = KolmogorovDistribution()
-        assert not dist.is_exact
-        assert dist.cdf(1.0) == asymptotic_cdf(1.0)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            KolmogorovDistribution(n=0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,18 @@ class TestScenario:
         # an interval reaching 0 stays accepted: it draws 0 with probability 0
         Scenario(zeta_sampler=UniformSampler(0.0, 1.0),
                  null_family=ExponentialRate(), n=5, replicates=5, seed=1)
+
+    def test_interval_check_follows_the_family_bound(self):
+        class ShiftedWindow(UniformWidth):
+            zeta_lower = 1.5
+
+        with pytest.raises(ValueError, match=re.escape(
+                "null family 'uniform-width' needs zeta > 1.5 but the sampler "
+                "can draw values down to 1.0")):
+            Scenario(zeta_sampler=UniformSampler(1.0, 2.0),
+                     null_family=ShiftedWindow(), n=5, replicates=5, seed=1)
+        Scenario(zeta_sampler=UniformSampler(1.5, 2.0),
+                 null_family=ShiftedWindow(), n=5, replicates=5, seed=1)
 
     def test_unbounded_sampler_fails_at_runtime_with_index(self):
         # a mixture straddling zero passes the up-front check but must

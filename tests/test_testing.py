@@ -11,7 +11,7 @@ from condks import (
     classic_ks_test,
     conditional_ks_test,
     critical_value,
-    ks_statistic_cdf,
+    ks_statistic_uniform,
 )
 
 
@@ -122,7 +122,7 @@ class TestClassicKsTest:
         xs = rng.random(200)
         report = classic_ks_test(xs, lambda x: min(1.0, max(0.0, x)))
         assert report.test_kind == "classic"
-        assert report.statistic == ks_statistic_cdf(xs, lambda x: min(1.0, max(0.0, x)))
+        assert report.statistic == ks_statistic_uniform(np.sort(xs))
         assert not report.reject
 
     def test_shifted_data_rejected(self):
@@ -147,3 +147,26 @@ class TestClassicKsTest:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             classic_ks_test([], lambda x: 0.5)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="not finite"):
+            classic_ks_test([0.5, np.inf], lambda x: 0.5)
+
+    def test_identity_reduction(self):
+        # a strictly increasing constant-free map changes nothing
+        rng = np.random.default_rng(99)
+        u = rng.random(40)
+        direct = ks_statistic_uniform(np.sort(u))
+        assert classic_ks_test(u, lambda x: x).statistic == direct
+
+    def test_monotone_map_invariance(self):
+        # push data and reference through G(x) = x^2 on the unit interval
+        rng = np.random.default_rng(1234)
+        xs = rng.random(60)
+        base = classic_ks_test(xs, lambda x: x).statistic
+        squared = classic_ks_test(xs ** 2, lambda t: float(np.sqrt(t))).statistic
+        assert squared == pytest.approx(base, abs=1e-12)
+
+    def test_rejects_cdf_output_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="outside"):
+            classic_ks_test([0.5], lambda x: 1.2)
