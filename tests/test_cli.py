@@ -527,12 +527,12 @@ class TestClassicKindMatchesScalarCdf:
         write_normal_table(table)
         spec = request.param.format(table=table)
         rng = np.random.default_rng(23)
-        xs = rng.normal(0.5, 1.5, 3000)
+        xs = rng.normal(0.5, 1.5, 3000).tolist()
+        zetas = rng.uniform(-9.0, 9.0, 3000).tolist()
         data = tmp_path / "d.csv"
-        data.write_text("xi,zeta\n" + "".join(
-            f"{x!r},{z!r}\n" for x, z in zip(xs.tolist(), rng.uniform(-9, 9, 3000).tolist())))
+        data.write_text("xi,zeta\n" + "".join(f"{x!r},{z!r}\n" for x, z in zip(xs, zetas)))
         family, pinned = parse_family_spec(spec)
-        ys = sorted(float(family.cdf(x, pinned)) for x in xs.tolist())
+        ys = sorted(float(family.cdf(x, pinned)) for x in xs)
         return data, spec, ys
 
     @pytest.mark.parametrize("case", FAMILIES, indirect=True, ids=FAMILY_IDS)
