@@ -32,9 +32,27 @@ from .specs import load_scenario, parse_family_spec
 from .testing import conditional_ks_test
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+class _Main(click.Group):
+    """Ends a subcommand that raises ValueError or OSError, a data error,
+    with ``error: <message>`` on stderr and exit code 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed stdout pipe: click exits 1 quietly
+        except (ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or to the file ``out`` as UTF-8 with LF."""
+    if out is None:
+        click.echo(text, nl=False)
+    else:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _read_pairs(path: str) -> np.ndarray:
@@ -83,7 +101,7 @@ def _read_input(path: str, family_spec: str, kind: str):
     return pairs, family
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """KS tests for plain samples and covariate-conditioned pairs."""
 
@@ -100,12 +118,9 @@ def main() -> None:
               default="auto", show_default=True)
 def cmd_test(data: str, family_spec: str, kind: str, alpha: float, mode: str) -> None:
     """Run a KS test on the pairs in DATA and print a JSON report."""
-    try:
-        pairs, family = _read_input(data, family_spec, kind)
-        report = replace(conditional_ks_test(pairs, family, alpha=alpha, mode=mode),
-                         test_kind=kind)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    pairs, family = _read_input(data, family_spec, kind)
+    report = replace(conditional_ks_test(pairs, family, alpha=alpha, mode=mode),
+                     test_kind=kind)
     click.echo(report.to_json())
     sys.exit(1 if report.reject else 0)
 
@@ -125,23 +140,15 @@ def cmd_dist(n: int | None, asymptotic: bool, query: str, value: float) -> None:
     """
     if (n is None) == (not asymptotic):
         raise click.UsageError("pass exactly one of -n or --asymptotic")
-    try:
-        if asymptotic:
-            if query == "cdf":
-                result = asymptotic_cdf(value)
-            elif query == "pvalue":
-                result = 1.0 - asymptotic_cdf(value)
-            else:
-                result = asymptotic_critical_value(value)
-        else:
-            if query == "cdf":
-                result = exact_cdf(n, value)
-            elif query == "pvalue":
-                result = p_value(value, n, "exact")
-            else:
-                result = critical_value(n, value)
-    except ValueError as exc:
-        _fail(str(exc))
+    # (query, asymptotic): the exact law of D_n or the limit of sqrt(n) D_n.
+    result = {
+        ("cdf", False): lambda: exact_cdf(n, value),
+        ("pvalue", False): lambda: p_value(value, n, "exact"),
+        ("critical", False): lambda: critical_value(n, value),
+        ("cdf", True): lambda: asymptotic_cdf(value),
+        ("pvalue", True): lambda: 1.0 - asymptotic_cdf(value),
+        ("critical", True): lambda: asymptotic_critical_value(value),
+    }[query, asymptotic]()
     if query == "critical":
         # Round up, so that the printed threshold still reaches 1 - alpha.
         # (Imported here: decimal adds 0.4 MB to every other command.)
@@ -160,24 +167,16 @@ def cmd_dist(n: int | None, asymptotic: bool, query: str, value: float) -> None:
               help="Write the CSV here instead of stdout.")
 def cmd_table(n_max: int, alphas: tuple[float, ...], out: str | None) -> None:
     """Print a critical-value table as CSV, one row per sample size."""
-    try:
-        if n_max < 1:
-            raise ValueError(f"--n-max must be >= 1, got {n_max}")
-        for a in alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alpha must lie in (0, 1), got {a}")
-        lines = ["n," + ",".join(repr(float(a)) for a in alphas)]
-        for size in range(1, n_max + 1):
-            cells = [repr(critical_value(size, a)) for a in alphas]
-            lines.append(f"{size}," + ",".join(cells))
-    except ValueError as exc:
-        _fail(str(exc))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    if n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {n_max}")
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {a}")
+    lines = ["n," + ",".join(repr(float(a)) for a in alphas)]
+    for size in range(1, n_max + 1):
+        cells = [repr(critical_value(size, a)) for a in alphas]
+        lines.append(f"{size}," + ",".join(cells))
+    _write("\n".join(lines) + "\n", out)
 
 
 @main.command("simulate")
@@ -194,32 +193,24 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
     Exits 1 when the calibration meta-test rejects (expected for
     power scenarios, whose statistics are not null-distributed).
     """
-    try:
-        for option, level in (("--alpha", alpha), ("--meta-alpha", meta_alpha)):
-            if not 0.0 < level < 1.0:
-                raise ValueError(f"{option} must lie in (0, 1), got {level}")
-        config = load_scenario(scenario)
-        stats = run_replicates(config)
-        meta = meta_test(stats, config.n, alpha=meta_alpha)
-        summary: dict = {"meta_test": meta.to_dict()}
-        if not config.is_calibration:
-            power = power_from_statistics(stats, config.n, alpha)
-            summary["power"] = {
-                "rejection_rate": power.rejection_rate,
-                "std_error": power.std_error,
-                "alpha": alpha,
-            }
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "statistics.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("statistic\n")
-            for s in stats:
-                fh.write(repr(float(s)) + "\n")
-        with open(os.path.join(out_dir, "summary.json"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(summary, indent=2) + "\n")
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    for option, level in (("--alpha", alpha), ("--meta-alpha", meta_alpha)):
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"{option} must lie in (0, 1), got {level}")
+    config = load_scenario(scenario)
+    stats = run_replicates(config)
+    meta = meta_test(stats, config.n, alpha=meta_alpha)
+    summary: dict = {"meta_test": meta.to_dict()}
+    if not config.is_calibration:
+        power = power_from_statistics(stats, config.n, alpha)
+        summary["power"] = {**power._asdict(), "alpha": alpha}
+    os.makedirs(out_dir, exist_ok=True)
+    # Streamed line by line, never held as one string.
+    with open(os.path.join(out_dir, "statistics.csv"), "w",
+              encoding="utf-8", newline="\n") as fh:
+        fh.write("statistic\n")
+        for s in stats:
+            fh.write(repr(float(s)) + "\n")
+    _write(json.dumps(summary, indent=2) + "\n", os.path.join(out_dir, "summary.json"))
     sys.exit(1 if meta.reject else 0)
 
 
@@ -241,22 +232,19 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
     across rows equals the KS statistic exactly; nothing is plotted
     here, the CSV is meant for external tooling.
     """
-    try:
-        if grid_size < 0:
-            raise ValueError(f"--grid must be >= 0, got {grid_size}")
-        pairs, family = _read_input(data, family_spec, kind)
-        ys = pit_transform(pairs, family).values
-        n = ys.size
-        if grid_size == 1:
-            grid = [0.5]
-        elif grid_size > 1:
-            grid = [j / (grid_size - 1) for j in range(grid_size)]
-        else:
-            grid = []
-        # ys is sorted, so the count of values <= x is one binary search.
-        counts = np.searchsorted(ys, grid, side="right").tolist()
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    if grid_size < 0:
+        raise ValueError(f"--grid must be >= 0, got {grid_size}")
+    pairs, family = _read_input(data, family_spec, kind)
+    ys = pit_transform(pairs, family).values
+    n = ys.size
+    if grid_size == 1:
+        grid = [0.5]
+    elif grid_size > 1:
+        grid = [j / (grid_size - 1) for j in range(grid_size)]
+    else:
+        grid = []
+    # ys is sorted, so the count of values <= x is one binary search.
+    counts = np.searchsorted(ys, grid, side="right").tolist()
     # The rows (x, empirical, reference) in sorted order, formatted once
     # per float.  Value i of ys gives (y, (i-1)/n, y) and (y, i/n, y); a
     # grid point x with count values <= x gives (x, count/n, x), which
@@ -272,12 +260,7 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
         lines.append(f"{x},{fractions[count]},{x}")
         done = count
     lines.extend(jumps[done:])
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 if __name__ == "__main__":

@@ -24,13 +24,14 @@ d is kept between calls.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-# Series truncation for Q(x): stop once the next term drops below this.
+# Series truncation for Q(x): stop once the next term drops below this,
+# which takes at most 86 terms for x >= _SERIES_SMALL_X (one for +inf).
 _SERIES_EPS = 1e-16
-_SERIES_MAX_TERMS = 100_000
 # Below this x the series value is under 1e-8 and the alternating sum is
 # pure cancellation noise; report 0.
 _SERIES_SMALL_X = 0.05
@@ -48,13 +49,16 @@ def asymptotic_cdf(x: float) -> float:
     """Limiting CDF Q(x) of the scaled statistic sqrt(n) * D_n.
 
     Returns 0 for x <= 0 (and for x < 0.05, where the true value is
-    below 1e-8 and double-precision summation returns only noise).
+    below 1e-8 and double-precision summation returns only noise), and
+    raises ValueError for NaN.
     """
-    if x < _SERIES_SMALL_X:
+    if not x >= _SERIES_SMALL_X:
+        if math.isnan(x):
+            raise ValueError("x must not be NaN")
         return 0.0
     total = 0.0
     sign = 1.0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
+    for k in itertools.count(1):
         term = math.exp(-2.0 * k * k * x * x)
         if term < _SERIES_EPS:
             break
@@ -116,11 +120,14 @@ def exact_cdf(n: int, d: float) -> float:
     Exact up to double-precision rounding.  Returns 0 for
     d <= 1/(2n) (the statistic's lower bound is attained with
     probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
-    below 1e-16, which also caps the matrix size for large n.
+    below 1e-16, which also caps the matrix size for large n.  Raises
+    ValueError for NaN.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if d <= 0.0:
+    if not d > 0.0:
+        if math.isnan(d):
+            raise ValueError("d must not be NaN")
         return 0.0
     if d >= 1.0:
         return 1.0

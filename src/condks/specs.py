@@ -116,8 +116,8 @@ def parse_family_spec(text: str, base_dir: str | None = None
     else:
         raise ValueError(f"unknown family {name!r} in spec {text!r}")
     _reject_extras(params, text)
-    if pinned is not None:
-        family.validate_zetas([pinned])
+    if pinned is not None and (reason := family.zeta_error(pinned)):
+        raise ValueError(f"zeta={pinned} invalid for family '{family.name}': {reason}")
     return family, pinned
 
 

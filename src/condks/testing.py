@@ -11,7 +11,7 @@ table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -38,15 +38,7 @@ class TestReport:
     reject: bool
 
     def to_dict(self) -> dict:
-        return {
-            "test_kind": self.test_kind,
-            "n": self.n,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "reject": self.reject,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

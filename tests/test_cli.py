@@ -1,9 +1,15 @@
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import condks
 from condks import (
     NormalLocation,
     asymptotic_critical_value,
@@ -130,6 +136,17 @@ class TestTestCommand:
         assert res.exit_code == 2
         assert "index 1" in res.output
 
+    @pytest.mark.parametrize("pin, reason", [
+        ("-1", "zeta=-1.0 invalid for family 'exponential-rate': rate zeta must be > 0"),
+        ("nan", "zeta=nan invalid for family 'exponential-rate': zeta must be finite"),
+    ], ids=["negative", "nan"])
+    def test_bad_pinned_zeta_named_without_an_index(self, runner, tmp_path, pin, reason):
+        data = tmp_path / "d.csv"
+        data.write_text("xi,zeta\n0.5,1\n")
+        res = runner.invoke(main, ["test", str(data), "--kind", "classic",
+                                   "--family", f"exponential-rate:zeta={pin}"])
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {reason}\n")
+
     def test_crlf_input_accepted(self, runner, tmp_path):
         data = tmp_path / "crlf.csv"
         data.write_bytes(b"xi,zeta\r\n0,0\r\n1,1\r\n")
@@ -226,6 +243,16 @@ class TestDistCommand:
         assert runner.invoke(
             main, ["dist", "-n", "5", "--asymptotic", "cdf", "0.5"]
         ).exit_code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--asymptotic", "cdf", "nan"], "x must not be NaN"),
+        (["--asymptotic", "pvalue", "nan"], "x must not be NaN"),
+        (["-n", "20", "cdf", "nan"], "d must not be NaN"),
+    ])
+    def test_nan_refused(self, runner, args, message):
+        # The limit law used to print 0 and 1 for NaN, with exit code 0.
+        res = runner.invoke(main, ["dist", *args])
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
 
     def test_bad_alpha(self, runner):
         res = runner.invoke(main, ["dist", "-n", "5", "critical", "1.5"])
@@ -501,6 +528,50 @@ class TestCurveCommand:
         res = runner.invoke(main, ["curve", str(data), "--family",
                                    "normal-location:sigma=1", "--grid", "-1"])
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["table", "curve"])
+def test_unwritable_out_is_a_data_error(runner, tmp_path, command):
+    # It used to end in a traceback and exit code 1, the code for "rejected".
+    data = tmp_path / "one.csv"
+    data.write_text("xi,zeta\n0,0\n")
+    args = {"table": ["table", "--n-max", "1"],
+            "curve": ["curve", str(data), "--family", "normal-location:sigma=1"]}[command]
+    out = tmp_path / "missing" / "t.csv"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == (
+        f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(out)!r}\n"
+    )
+
+
+def run_module(*args, stdout=subprocess.PIPE):
+    """``python -m condks.cli ARGS`` in a fresh interpreter."""
+    src = str(Path(condks.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "condks.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=path), stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120, check=False)
+
+
+class TestModuleEntryPoint:
+    def test_unwritable_out_exits_2_without_traceback(self, tmp_path):
+        out = tmp_path / "missing" / "t.csv"
+        proc = run_module("table", "--n-max", "1", "--out", str(out))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_closed_stdout_pipe_exits_1_quietly(self):
+        # A closed stdout pipe is not a data error: click ends the run
+        # with exit code 1 and nothing on stderr.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module("table", "--n-max", "1", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def write_normal_table(path):

@@ -443,6 +443,12 @@ class TestTabulatedFamily:
             TabulatedFamily([0.0], [0.0, 1.0, 2.0], [[0.0, 0.8, 0.5]])
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             TabulatedFamily([0.0], [0.0, 1.0], [[0.0, 1.4]])
+        with pytest.raises(ValueError, match="zeta grid must be a non-empty"):
+            TabulatedFamily([], [0.0, 1.0], np.empty((0, 2)))
+        with pytest.raises(ValueError, match="at least two knots"):
+            TabulatedFamily([0.0], [0.0], [[0.5]])
+        with pytest.raises(ValueError, match="must be finite"):
+            TabulatedFamily([0.0], [0.0, 1.0], [[0.0, np.nan]])
 
     def test_csv_round_trip(self, tmp_path):
         zg = [0.0, 1.0]
@@ -473,6 +479,10 @@ class TestTabulatedFamily:
             load("zeta,x,cdf\n0,0,0.1\n0,1,0.9\n1,0,0.2\n")
         with pytest.raises(ValueError, match="no data"):
             load("zeta,x,cdf\n")
+        with pytest.raises(ValueError, match="line 3: expected 3 fields"):
+            load("zeta,x,cdf\n\n0,0\n")  # the blank line 2 is skipped
+        with pytest.raises(ValueError, match="line 2: non-finite value"):
+            load("zeta,x,cdf\n0,0,nan\n")
 
 
 class TestConstantFamily:

@@ -139,8 +139,13 @@ class TestAsymptoticCdf:
             assert asymptotic_cdf(x) == pytest.approx(series_oracle(x), abs=1e-10)
 
     def test_zero_below_cutoff(self):
-        for x in (-3.0, -1e-9, 0.0, 0.02, 0.0499):
+        for x in (-math.inf, -3.0, -1e-9, 0.0, 0.02, 0.0499):
             assert asymptotic_cdf(x) == 0.0
+
+    def test_nan_refused(self):
+        # It used to run the series' 10^5-term cap and return 0.
+        with pytest.raises(ValueError, match="^x must not be NaN$"):
+            asymptotic_cdf(math.nan)
 
     def test_frozen_quantile_anchor(self):
         # 95th percentile of the limiting law
@@ -159,6 +164,7 @@ class TestAsymptoticCdf:
     def test_saturates_to_one(self):
         assert asymptotic_cdf(5.0) == pytest.approx(1.0, abs=1e-10)
         assert asymptotic_cdf(50.0) == 1.0
+        assert asymptotic_cdf(math.inf) == 1.0
 
 
 class TestExactCdf:
@@ -216,6 +222,10 @@ class TestExactCdf:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             exact_cdf(0, 0.5)
+
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="^d must not be NaN$"):
+            exact_cdf(5, math.nan)
 
     def test_bits_match_reference(self):
         for n, d in bit_sweep_points():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -50,6 +51,8 @@ class TestSamplers:
     def test_point_mass(self):
         draws = PointMassSampler(1.5).draw(np.random.default_rng(0), 100)
         assert np.all(draws == 1.5)
+        with pytest.raises(ValueError, match="need finite c, got nan"):
+            PointMassSampler(math.nan)
 
     def test_mixture_moments(self):
         s = GaussianMixtureSampler(components=((0.5, -1.0, 1.0), (0.5, 3.0, 0.5)))
@@ -65,6 +68,8 @@ class TestSamplers:
             GaussianMixtureSampler(components=((1.0, 0.0, 0.0),))
         with pytest.raises(ValueError, match="component"):
             GaussianMixtureSampler(components=())
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianMixtureSampler(components=((1.0, math.inf, 1.0),))
 
 
 class TestScenario:

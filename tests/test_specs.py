@@ -98,6 +98,8 @@ class TestSamplerSpecs:
             parse_sampler_spec("gaussian-mixture:weights=a|b,means=0|3,sds=1|1")
         with pytest.raises(ValueError, match="unknown key"):
             parse_sampler_spec("point-mass:c=1,d=2")
+        with pytest.raises(ValueError, match="missing required key 'sds'"):
+            parse_sampler_spec("gaussian-mixture:weights=1,means=0")
 
 
 class TestScenarioFiles:

@@ -13,6 +13,7 @@ from condks import (
     critical_value,
     ks_statistic_uniform,
 )
+from condks import TestReport as Report  # a Test* name pytest would collect
 
 
 def null_pairs(rng, n, sigma=1.0):
@@ -34,6 +35,14 @@ class TestReportShape:
         assert d["mode"] == "exact"  # auto resolved, never "auto"
         assert isinstance(d["reject"], bool)
         assert d["reject"] == (d["p_value"] < d["alpha"])
+
+    def test_json_bytes(self):
+        # The key order is the field order; reports and summary.json keep it.
+        report = Report("classic", 12, 0.25, 0.5, "exact", 0.05, False)
+        assert report.to_json() == (
+            '{"test_kind": "classic", "n": 12, "statistic": 0.25, "p_value": 0.5, '
+            '"mode": "exact", "alpha": 0.05, "reject": false}'
+        )
 
     def test_statistic_in_range(self):
         rng = np.random.default_rng(3)
