@@ -1,8 +1,10 @@
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from condks import (
     p_value,
     parse_family_spec,
 )
+from condks import cli
 from condks.cli import main
 
 
@@ -195,6 +198,174 @@ class TestTestCommand:
             assert res.exit_code == 2
             assert res.output == f"error: {data}: {message}\n"
 
+    @pytest.mark.parametrize("command", ["test", "curve"])
+    def test_field_over_the_csv_limit_is_a_data_error(self, runner, tmp_path, command):
+        # csv.Error used to escape as a traceback with exit code 1, "rejected".
+        data = tmp_path / "wide.csv"
+        data.write_text("xi,zeta\n0,0\n" + "x" * 200_000 + ",1\n")
+        res = runner.invoke(main, [command, str(data), "--family",
+                                   "normal-location:sigma=1"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == (
+            f"error: {data}: line 3: field larger than field limit (131072)\n"
+        )
+
+
+def ingest_outcome(read, path):
+    """The bits of the array ``read(path)`` returns, or its error text."""
+    try:
+        return read(str(path)).view(np.uint64).tolist()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# Bodies the two ingest paths must read alike: layouts numpy's reader
+# takes, and the files it refuses, which the line loop reads or words.
+INGEST_PROBES = [
+    b"\xef\xbb\xbfxi,zeta\n0.25,0\n-1,1\n",
+    b"xi,zeta\r0.25,0\r-1,1\r",
+    b"xi,zeta\r\n0.25,0\r\n-1,1\r\n",
+    b"xi,zeta\r\n0.25,0\n-1,1\r",
+    b"xi,zeta\n0.25,0\n-1,1",
+    b"xi,zeta\n\n0.25,0\n\n\n-1,1\n\n",
+    b"xi,zeta\n0.25,0\n  \n",
+    b"xi,zeta\n\t\n0.25,0\n",
+    b'xi,zeta\n"0.25","0"\n" -1 ",1\n',
+    b'xi,zeta\n"0.25" ,0\n',
+    b'xi,zeta\n "0.25",0\n',
+    b'xi,zeta\n"0.""25",0\n',
+    b'xi,zeta\n"0.25\n",0\n',
+    b'xi,zeta\n0.25,"0\n',
+    b'xi,zeta\n0.25,0"\n',
+    b"xi , zeta\n 0.25 ,0\t\n-1, 1\n",
+    b"xi,zeta\n\x0b0.25,\x0c0\n",
+    "xi,zeta\n\u00a00.25,0\u00a0\n".encode(),
+    b"xi,zeta\n0.25,0\x85\n",
+    b"xi,zeta\n1_0,0\n",
+    "xi,zeta\n\uff11,0\n".encode(),
+    b"xi,zeta\n1e400,0\n",
+    b"xi,zeta\n4.9e-324,0\n",
+    b"xi,zeta\n1e-400,-0\n",
+    b"xi,zeta\n0.1000000000000000055511151231257827,0\n",
+    b"xi,zeta\nnan,0\n",
+    b"xi,zeta\n0,inf\n",
+    b"xi,zeta\nInfinity,0\n",
+    b"xi,zeta\n0\n",
+    b"xi,zeta\n0,0,0\n",
+    b"xi,zeta\n0,0,\n",
+    b"xi,zeta\n0,\n",
+    b"xi,zeta\n0,oops\n",
+    b"xi,zeta\n1 2,0\n",
+    b"xi,zeta\n0x1p3,0\n",
+    b"xi,zeta\n#1,0\n",
+    b"xi,zeta\n0,0\n\x1a\n",
+    b"xi,zeta\n\xff,0\n",
+    b"xi,zeta\n",
+    b"xi,zeta\n\n\n",
+    b"",
+    b"a,b\n0,0\n",
+    b'"xi","zeta"\n0,0\n',
+    b"xi,zeta\n0,0\n" + b"x" * 200_000 + b",1\n",
+    b"x" * 200_000 + b",zeta\n0,0\n",
+]
+
+# Tokens for the seeded random files: numbers both readers take, and
+# spellings one or both refuse.
+GOOD_TOKENS = ["0", "-0", "1", "-2.5", "+.5", "5.", "1e3", "1E-3", " 3 ", "\t4",
+               '"7"', '"-0.125"', "4.9e-324", "1e-400", "1.7976931348623157e308"]
+ODD_TOKENS = ["", "x", "1_0", "\uff11", "nan", "inf", "-Infinity", "1e400",
+              '"1""2"', ' "1"', '"1" ', '"1\n"', "\u00a01", "\x0b1", "\x0c1",
+              "0x1p3", "1 2", "#1"]
+
+
+def random_ingest_body(rng):
+    """An xi,zeta file of 1..6 rows: all numbers both readers take, or with
+    odd tokens, odd field counts and blank lines mixed in."""
+    odd = rng.random() < 0.5
+
+    def token():
+        if odd and rng.random() < 0.15:
+            return rng.choice(ODD_TOKENS)
+        roll = rng.random()
+        if roll < 0.4:
+            return repr(rng.uniform(-1e3, 1e3))
+        if roll < 0.6:
+            return "0." + "".join(rng.choices("0123456789", k=rng.randint(17, 40)))
+        return rng.choice(GOOD_TOKENS)
+
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        fields = 2
+        if odd and rng.random() < 0.1:
+            fields = rng.choice([0, 1, 3])
+        rows.append(",".join(token() for _ in range(fields)))
+        if rng.random() < 0.1:
+            rows.append(rng.choice(["", "", " ", "\t"]) if odd else "")
+    eol = rng.choice(["\n", "\r\n", "\r"])
+    text = eol.join(["xi,zeta", *rows]) + rng.choice(["", eol])
+    return (b"\xef\xbb\xbf" if rng.random() < 0.2 else b"") + text.encode()
+
+
+class TestIngestPaths:
+    """_read_pairs parses with numpy's reader and hands what it refuses
+    to the line loop; for every file the two must agree, bit for bit or
+    error text for error text."""
+
+    @pytest.mark.parametrize("body", INGEST_PROBES)
+    def test_probe_reads_alike(self, tmp_path, body):
+        data = tmp_path / "d.csv"
+        data.write_bytes(body)
+        assert (ingest_outcome(cli._read_pairs, data)
+                == ingest_outcome(cli._read_pairs_by_line, data))
+
+    def test_random_files_read_alike(self, tmp_path, monkeypatch):
+        by_line = cli._read_pairs_by_line
+        reread = []
+        monkeypatch.setattr(cli, "_read_pairs_by_line",
+                            lambda path: reread.append(path) or by_line(path))
+        rng = random.Random(20_181)
+        data = tmp_path / "d.csv"
+        served = 0  # files numpy's reader took without the loop
+        for _ in range(2000):
+            body = random_ingest_body(rng)
+            data.write_bytes(body)
+            before = len(reread)
+            fast = ingest_outcome(cli._read_pairs, data)
+            served += len(reread) == before
+            assert fast == ingest_outcome(by_line, data), body
+        assert 1000 < served < 1800, served
+
+    def test_well_formed_file_never_reaches_the_loop(self, tmp_path, monkeypatch):
+        def loop(path):
+            raise AssertionError("the line loop ran")
+
+        data = tmp_path / "d.csv"
+        write_null_csv(data, n=50)
+        monkeypatch.setattr(cli, "_read_pairs_by_line", loop)
+        assert cli._read_pairs(str(data)).shape == (50, 2)
+
+    def test_spellings_only_float_takes_read_as_before(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("xi,zeta\n1_0,\uff11\n", encoding="utf-8")
+        assert cli._read_pairs(str(data)).tolist() == [[10.0, 1.0]]
+
+    def test_empty_body_warns_nothing(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("xi,zeta\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                cli._read_pairs(str(data))
+        assert caught == []
+
+    def test_over_limit_number_is_the_one_difference(self, tmp_path):
+        # numpy's reader has no field size limit; the csv module does.
+        data = tmp_path / "d.csv"
+        data.write_text("xi,zeta\n" + "0" * 199_999 + "1,0\n")
+        assert cli._read_pairs(str(data)).tolist() == [[1.0, 0.0]]
+        with pytest.raises(ValueError, match="line 2: field larger than field limit"):
+            cli._read_pairs_by_line(str(data))
+
 
 class TestDistCommand:
     def test_asymptotic_cdf_at_zero(self, runner):
@@ -258,6 +429,16 @@ class TestDistCommand:
         res = runner.invoke(main, ["dist", "-n", "5", "critical", "1.5"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args, want", [
+        (["--asymptotic", "cdf"], (0, "0\n", "")),
+        (["-n", "20", "pvalue"],
+         (2, "", "error: statistic must lie in [0, 1], got -0.1\n")),
+    ])
+    def test_negative_value_after_double_dash(self, runner, args, want):
+        # Without "--", click reads -0.1 as an option and stops in its parser.
+        res = runner.invoke(main, ["dist", *args, "--", "-0.1"])
+        assert (res.exit_code, res.stdout, res.stderr) == want
+
     @pytest.mark.parametrize("args", [
         ["dist", "-n", "10", "critical", "1e-17"],
         ["dist", "--asymptotic", "critical", "1e-17"],
@@ -309,6 +490,16 @@ class TestTableCommand:
         assert runner.invoke(
             main, ["table", "--n-max", "3", "--alpha", "2"]
         ).exit_code == 2
+
+    def test_first_bad_alpha_is_named(self, runner):
+        # critical_value checks every alpha on the first row, in order.
+        res = runner.invoke(main, ["table", "--n-max", "3",
+                                   "--alpha", "1e-17", "--alpha", "2"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == (
+            "error: alpha=1e-17 is too small: 1 - alpha rounds to 1 in double "
+            "precision, so its critical value cannot be resolved\n"
+        )
 
 
 CALIBRATION_CFG = (
