@@ -221,53 +221,53 @@ def ingest_outcome(read, path):
 
 # Bodies the two ingest paths must read alike: layouts numpy's reader
 # takes, and the files it refuses, which the line loop reads or words.
-INGEST_PROBES = [
-    b"\xef\xbb\xbfxi,zeta\n0.25,0\n-1,1\n",
-    b"xi,zeta\r0.25,0\r-1,1\r",
-    b"xi,zeta\r\n0.25,0\r\n-1,1\r\n",
-    b"xi,zeta\r\n0.25,0\n-1,1\r",
-    b"xi,zeta\n0.25,0\n-1,1",
-    b"xi,zeta\n\n0.25,0\n\n\n-1,1\n\n",
-    b"xi,zeta\n0.25,0\n  \n",
-    b"xi,zeta\n\t\n0.25,0\n",
-    b'xi,zeta\n"0.25","0"\n" -1 ",1\n',
-    b'xi,zeta\n"0.25" ,0\n',
-    b'xi,zeta\n "0.25",0\n',
-    b'xi,zeta\n"0.""25",0\n',
-    b'xi,zeta\n"0.25\n",0\n',
-    b'xi,zeta\n0.25,"0\n',
-    b'xi,zeta\n0.25,0"\n',
-    b"xi , zeta\n 0.25 ,0\t\n-1, 1\n",
-    b"xi,zeta\n\x0b0.25,\x0c0\n",
-    "xi,zeta\n\u00a00.25,0\u00a0\n".encode(),
-    b"xi,zeta\n0.25,0\x85\n",
-    b"xi,zeta\n1_0,0\n",
-    "xi,zeta\n\uff11,0\n".encode(),
-    b"xi,zeta\n1e400,0\n",
-    b"xi,zeta\n4.9e-324,0\n",
-    b"xi,zeta\n1e-400,-0\n",
-    b"xi,zeta\n0.1000000000000000055511151231257827,0\n",
-    b"xi,zeta\nnan,0\n",
-    b"xi,zeta\n0,inf\n",
-    b"xi,zeta\nInfinity,0\n",
-    b"xi,zeta\n0\n",
-    b"xi,zeta\n0,0,0\n",
-    b"xi,zeta\n0,0,\n",
-    b"xi,zeta\n0,\n",
-    b"xi,zeta\n0,oops\n",
-    b"xi,zeta\n1 2,0\n",
-    b"xi,zeta\n0x1p3,0\n",
-    b"xi,zeta\n#1,0\n",
-    b"xi,zeta\n0,0\n\x1a\n",
-    b"xi,zeta\n\xff,0\n",
-    b"xi,zeta\n",
-    b"xi,zeta\n\n\n",
-    b"",
-    b"a,b\n0,0\n",
-    b'"xi","zeta"\n0,0\n',
-    b"xi,zeta\n0,0\n" + b"x" * 200_000 + b",1\n",
-    b"x" * 200_000 + b",zeta\n0,0\n",
-]
+INGEST_PROBES = {
+    "bom": b"\xef\xbb\xbfxi,zeta\n0.25,0\n-1,1\n",
+    "cr": b"xi,zeta\r0.25,0\r-1,1\r",
+    "crlf": b"xi,zeta\r\n0.25,0\r\n-1,1\r\n",
+    "mixed-endings": b"xi,zeta\r\n0.25,0\n-1,1\r",
+    "no-final-newline": b"xi,zeta\n0.25,0\n-1,1",
+    "blank-lines": b"xi,zeta\n\n0.25,0\n\n\n-1,1\n\n",
+    "spaces-line": b"xi,zeta\n0.25,0\n  \n",
+    "tab-line": b"xi,zeta\n\t\n0.25,0\n",
+    "quoted": b'xi,zeta\n"0.25","0"\n" -1 ",1\n',
+    "space-after-quote": b'xi,zeta\n"0.25" ,0\n',
+    "space-before-quote": b'xi,zeta\n "0.25",0\n',
+    "doubled-quote": b'xi,zeta\n"0.""25",0\n',
+    "quoted-newline": b'xi,zeta\n"0.25\n",0\n',
+    "unclosed-quote": b'xi,zeta\n0.25,"0\n',
+    "trailing-quote": b'xi,zeta\n0.25,0"\n',
+    "spaces-tabs": b"xi , zeta\n 0.25 ,0\t\n-1, 1\n",
+    "vt-ff": b"xi,zeta\n\x0b0.25,\x0c0\n",
+    "nbsp": "xi,zeta\n\u00a00.25,0\u00a0\n".encode(),
+    "nel": b"xi,zeta\n0.25,0\x85\n",
+    "underscore": b"xi,zeta\n1_0,0\n",
+    "fullwidth": "xi,zeta\n\uff11,0\n".encode(),
+    "overflow": b"xi,zeta\n1e400,0\n",
+    "subnormal": b"xi,zeta\n4.9e-324,0\n",
+    "underflow": b"xi,zeta\n1e-400,-0\n",
+    "long-mantissa": b"xi,zeta\n0.1000000000000000055511151231257827,0\n",
+    "nan": b"xi,zeta\nnan,0\n",
+    "inf": b"xi,zeta\n0,inf\n",
+    "infinity": b"xi,zeta\nInfinity,0\n",
+    "one-field": b"xi,zeta\n0\n",
+    "three-fields": b"xi,zeta\n0,0,0\n",
+    "trailing-comma": b"xi,zeta\n0,0,\n",
+    "empty-field": b"xi,zeta\n0,\n",
+    "non-numeric": b"xi,zeta\n0,oops\n",
+    "inner-space": b"xi,zeta\n1 2,0\n",
+    "hex-float": b"xi,zeta\n0x1p3,0\n",
+    "hash": b"xi,zeta\n#1,0\n",
+    "ctrl-z-line": b"xi,zeta\n0,0\n\x1a\n",
+    "bad-utf8": b"xi,zeta\n\xff,0\n",
+    "header-only": b"xi,zeta\n",
+    "blank-only": b"xi,zeta\n\n\n",
+    "empty-file": b"",
+    "wrong-header": b"a,b\n0,0\n",
+    "quoted-header": b'"xi","zeta"\n0,0\n',
+    "over-limit-row": b"xi,zeta\n0,0\n" + b"x" * 200_000 + b",1\n",
+    "over-limit-header": b"x" * 200_000 + b",zeta\n0,0\n",
+}
 
 # Tokens for the seeded random files: numbers both readers take, and
 # spellings one or both refuse.
@@ -311,7 +311,7 @@ class TestIngestPaths:
     to the line loop; for every file the two must agree, bit for bit or
     error text for error text."""
 
-    @pytest.mark.parametrize("body", INGEST_PROBES)
+    @pytest.mark.parametrize("body", INGEST_PROBES.values(), ids=INGEST_PROBES)
     def test_probe_reads_alike(self, tmp_path, body):
         data = tmp_path / "d.csv"
         data.write_bytes(body)
