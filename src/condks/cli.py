@@ -21,7 +21,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .conditional import pit_transform
+from .conditional import pit_transform, utf8_errors
 from .kolmogorov import (
     asymptotic_cdf,
     asymptotic_critical_value,
@@ -87,8 +87,8 @@ def _read_pairs(path: str) -> np.ndarray:
     numpy does not (``1_0``, fullwidth digits).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        _past_header(path, fh)
         try:
+            _past_header(path, fh)
             with warnings.catch_warnings():
                 # numpy warns on an empty body; the loop words it as an error.
                 warnings.simplefilter("ignore", UserWarning)
@@ -105,7 +105,7 @@ def _read_pairs(path: str) -> np.ndarray:
 def _read_pairs_by_line(path: str) -> np.ndarray:
     """``_read_pairs`` one row at a time, with ``csv`` and ``float()``."""
     xis, zetas = array("d"), array("d")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with utf8_errors(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _past_header(path, fh)
         with _csv_errors(path, reader):
             for row in reader:

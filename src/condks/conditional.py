@@ -19,6 +19,7 @@ import csv
 import math
 import sys
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -210,6 +211,26 @@ class UniformWidth(ConditionalCdfFamily):
         return _unwrap(Z + P, scalar)
 
 
+@contextmanager
+def utf8_errors(path):
+    """Word a ``UnicodeDecodeError`` from reading ``path`` as a data error
+    naming the file and the line of its first byte that is not UTF-8 (the
+    decoder's own position is an offset in its current chunk)."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The bad byte is no line break, so it ends the last line counted.
+            line = len(data[:exc.start + 1].splitlines())
+            raise ValueError(f"{path}: line {line}: not valid UTF-8 "
+                             f"(byte 0x{data[exc.start]:02x}: {exc.reason})") from None
+        raise
+
+
 class TabulatedFamily(ConditionalCdfFamily):
     """Family given numerically on a (zeta, x) grid, bilinearly interpolated.
 
@@ -265,7 +286,7 @@ class TabulatedFamily(ConditionalCdfFamily):
         once; row order is free.
         """
         entries: dict[tuple[float, float], float] = {}
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with utf8_errors(path), open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [c.strip() for c in header] != ["zeta", "x", "cdf"]:

@@ -210,6 +210,23 @@ class TestTestCommand:
             f"error: {data}: line 3: field larger than field limit (131072)\n"
         )
 
+    @pytest.mark.parametrize("command", ["test", "curve"])
+    def test_non_utf8_byte_is_named_by_file_and_line(self, runner, tmp_path, command):
+        # The decoder's own message gave an offset inside the chunk it was
+        # decoding: position 8 for the short file, 5624 for the long one.
+        short = tmp_path / "short.csv"
+        short.write_bytes(b"xi,zeta\n\xff,0\n")
+        body = bytearray(b"xi,zeta\n" + b"0.25000,0.5\n" * 2000)
+        body[22_008] = 0xFF  # 12-byte rows after an 8-byte header: line 1835
+        long = tmp_path / "long.csv"
+        long.write_bytes(bytes(body))
+        for data, line in ((short, 2), (long, 1835)):
+            res = runner.invoke(main, [command, str(data), "--family",
+                                       "normal-location:sigma=1"])
+            assert (res.exit_code, res.stdout) == (2, "")
+            assert res.stderr == (f"error: {data}: line {line}: not valid UTF-8 "
+                                  "(byte 0xff: invalid start byte)\n")
+
 
 def ingest_outcome(read, path):
     """The bits of the array ``read(path)`` returns, or its error text."""

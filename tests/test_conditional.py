@@ -483,6 +483,10 @@ class TestTabulatedFamily:
             load("zeta,x,cdf\n\n0,0\n")  # the blank line 2 is skipped
         with pytest.raises(ValueError, match="line 2: non-finite value"):
             load("zeta,x,cdf\n0,0,nan\n")
+        bad = tmp_path / "bytes.csv"
+        bad.write_bytes(b"zeta,x,cdf\n0,0,0.1\n0,1\xff,0.9\n")
+        with pytest.raises(ValueError, match=r"line 3: not valid UTF-8 \(byte 0xff"):
+            TabulatedFamily.from_csv(bad)
 
 
 class TestConstantFamily:

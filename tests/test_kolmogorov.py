@@ -238,6 +238,46 @@ class TestExactCdf:
             assert type(got) is float
             assert got == exact_cdf_reference(n, d), (n, d)
 
+    def test_interleaved_sizes_match_reference(self):
+        # The n!/n^n ratios are kept for the last n only; no call may see
+        # another size's list.
+        for n in (50, 51, 50, 200, 1000, 50, np.int64(50)):
+            d = 0.9 / math.sqrt(n)
+            got = exact_cdf(n, d)
+            assert type(got) is float
+            assert got == exact_cdf_reference(n, d), (n, d)
+
+    @pytest.mark.parametrize("n, d, path", [
+        (50, 0.2, "prod"),
+        (140, 0.09, "prod"),
+        (200, 0.07, "prod"),
+        # No rescale while powering, but the product ends below 1e-140.
+        (100, 1.1 / 200, "loop"),
+        (200, 1.5 / 400, "loop"),
+        # Powering rescaled: up for a tiny V, down for a large one.
+        (20, (1.0 + 1e-9) / 40, "rescaled"),
+        (500, 1.0 / math.sqrt(500), "rescaled"),
+        (1000, 1.0 / math.sqrt(1000), "rescaled"),
+        (3000, 1.0 / math.sqrt(3000), "rescaled"),
+    ])
+    def test_each_factor_path_matches_reference(self, monkeypatch, n, d, path):
+        products = []
+        prod = math.prod
+
+        def spy(ratios, start):
+            products.append(prod(ratios, start=start))
+            return products[-1]
+
+        monkeypatch.setattr(math, "prod", spy)
+        got = exact_cdf(n, d)
+        if path == "rescaled":
+            assert products == []
+        else:
+            assert len(products) == 1
+            assert (products[0] >= 1e-140) == (path == "prod")
+        assert type(got) is float
+        assert got == exact_cdf_reference(n, d)
+
 
 class TestPValue:
     def test_exact_complement_identity(self):
