@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import sys
 import warnings
 from array import array
-from contextlib import contextmanager
 from dataclasses import replace
 
 import click
 import numpy as np
 
-from .conditional import pit_transform, utf8_errors
+from .conditional import csv_records, pit_transform
 from .kolmogorov import (
     asymptotic_cdf,
     asymptotic_critical_value,
@@ -57,75 +55,40 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-@contextmanager
-def _csv_errors(path: str, reader):
-    """Word a ``csv.Error`` from ``reader`` (a field over
-    ``csv.field_size_limit()``) as a data error naming its line."""
-    try:
-        yield
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _past_header(path: str, fh):
-    """A ``csv.reader`` on ``fh`` that has read and checked the header."""
-    reader = csv.reader(fh)
-    with _csv_errors(path, reader):
-        header = next(reader, None)
-    if header is None or [c.strip() for c in header] != ["xi", "zeta"]:
-        raise ValueError(f"{path}: expected header 'xi,zeta', got {header}")
-    return reader
-
-
 def _read_pairs(path: str) -> np.ndarray:
     """Read an ``xi,zeta`` CSV file into an (n, 2) float array.
 
     numpy's C reader parses a well-formed file in one call.  A file it
-    refuses, or whose values are not n >= 1 finite pairs, is read again
-    by ``_read_pairs_by_line``: only that loop names the line of a bad
-    record, and only it takes the spellings ``float()`` accepts and
-    numpy does not (``1_0``, fullwidth digits).
+    refuses, or whose header or values are not ``xi,zeta`` and n >= 1
+    finite pairs, is read again by ``_read_pairs_by_line``: only that
+    loop names the line of a bad record, and only it takes the spellings
+    ``float()`` accepts and numpy does not (``1_0``, fullwidth digits).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            _past_header(path, fh)
+            header = [c.strip() for c in next(csv.reader(fh), [])]
             with warnings.catch_warnings():
                 # numpy warns on an empty body; the loop words it as an error.
                 warnings.simplefilter("ignore", UserWarning)
                 pairs = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
                                    ndmin=2)
-        except ValueError:
+        except (ValueError, csv.Error):
             pass
         else:
-            if pairs.shape[0] >= 1 and pairs.shape[1] == 2 and np.isfinite(pairs).all():
+            if (header == ["xi", "zeta"] and pairs.shape[0] >= 1 and pairs.shape[1] == 2
+                    and np.isfinite(pairs).all()):
                 return pairs
     return _read_pairs_by_line(path)
 
 
 def _read_pairs_by_line(path: str) -> np.ndarray:
-    """``_read_pairs`` one row at a time, with ``csv`` and ``float()``."""
-    xis, zetas = array("d"), array("d")
-    with utf8_errors(path), open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _past_header(path, fh)
-        with _csv_errors(path, reader):
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}: line {reader.line_num}: expected 2 fields")
-                try:
-                    xi, zeta = float(row[0]), float(row[1])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: non-numeric value"
-                    ) from None
-                if not (math.isfinite(xi) and math.isfinite(zeta)):
-                    raise ValueError(f"{path}: line {reader.line_num}: non-finite value")
-                xis.append(xi)
-                zetas.append(zeta)
-    if not xis:
+    """``_read_pairs`` one record at a time, with ``csv`` and ``float()``."""
+    flat = array("d")
+    for _, values in csv_records(path, ("xi", "zeta")):
+        flat.extend(values)
+    if not flat:
         raise ValueError(f"{path}: no data rows")
-    return np.column_stack((np.frombuffer(xis), np.frombuffer(zetas)))
+    return np.frombuffer(flat).reshape(-1, 2)
 
 
 def _read_input(path: str, family_spec: str, kind: str):

@@ -231,6 +231,42 @@ def utf8_errors(path):
         raise
 
 
+def csv_records(path, header: tuple[str, ...]):
+    """Yield ``(line, values)`` for each record of the CSV file ``path``
+    after its header, which must be ``header`` up to spaces around each
+    name; ``values`` are the record's finite floats, one per header name.
+
+    Blank records are skipped.  Every fault is a ValueError naming the
+    file, and the line of a bad record (that of its last line, for a
+    record with a quoted line break).
+    """
+    with utf8_errors(path), open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None or [c.strip() for c in first] != list(header):
+                raise ValueError(f"{path}: expected header '{','.join(header)}', "
+                                 f"got {first}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: line {reader.line_num}: "
+                                     f"expected {len(header)} fields")
+                try:
+                    values = list(map(float, row))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: non-numeric value"
+                    ) from None
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"{path}: line {reader.line_num}: non-finite value")
+                yield reader.line_num, values
+        except csv.Error as exc:
+            # Such as a field over csv.field_size_limit().
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 class TabulatedFamily(ConditionalCdfFamily):
     """Family given numerically on a (zeta, x) grid, bilinearly interpolated.
 
@@ -286,29 +322,10 @@ class TabulatedFamily(ConditionalCdfFamily):
         once; row order is free.
         """
         entries: dict[tuple[float, float], float] = {}
-        with utf8_errors(path), open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != ["zeta", "x", "cdf"]:
-                raise ValueError(f"{path}: expected header 'zeta,x,cdf', got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"{path}: line {reader.line_num}: expected 3 fields")
-                try:
-                    z, x, c = (float(v) for v in row)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: non-numeric value"
-                    ) from None
-                if not (math.isfinite(z) and math.isfinite(x) and math.isfinite(c)):
-                    raise ValueError(f"{path}: line {reader.line_num}: non-finite value")
-                if (z, x) in entries:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: duplicate point zeta={z}, x={x}"
-                    )
-                entries[(z, x)] = c
+        for line, (z, x, c) in csv_records(path, ("zeta", "x", "cdf")):
+            if (z, x) in entries:
+                raise ValueError(f"{path}: line {line}: duplicate point zeta={z}, x={x}")
+            entries[(z, x)] = c
         if not entries:
             raise ValueError(f"{path}: table has no data rows")
         zg = np.unique([z for z, _ in entries])

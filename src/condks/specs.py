@@ -33,6 +33,7 @@ from .conditional import (
     NormalLocation,
     TabulatedFamily,
     UniformWidth,
+    utf8_errors,
 )
 from .monte_carlo import (
     GaussianMixtureSampler,
@@ -162,7 +163,7 @@ def load_scenario(path) -> Scenario:
     """
     base_dir = os.path.dirname(os.path.abspath(path))
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with utf8_errors(path), open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -623,6 +623,39 @@ class TestSimulateCommand:
         assert res.exit_code == 2
 
 
+def write_wide_grid(path):
+    """A zeta,x,cdf grid whose line 3 holds a field over the csv limit."""
+    path.write_text("zeta,x,cdf\n0,0,0\n0," + "1" * 200_000 + ",1\n")
+
+
+class TestTabulatedGridErrors:
+    # csv.Error used to escape from the grid reader as a traceback with
+    # exit code 1, "rejected".
+    def test_field_over_the_csv_limit_in_test(self, runner, tmp_path):
+        grid = tmp_path / "grid.csv"
+        write_wide_grid(grid)
+        data = tmp_path / "d.csv"
+        write_null_csv(data, n=20)
+        res = runner.invoke(main, ["test", str(data), "--family",
+                                   f"tabulated:path={grid}"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == (
+            f"error: {grid}: line 3: field larger than field limit (131072)\n"
+        )
+
+    def test_field_over_the_csv_limit_in_simulate(self, runner, tmp_path):
+        write_wide_grid(tmp_path / "grid.csv")
+        cfg = tmp_path / "scen.cfg"
+        write_scenario(cfg, CALIBRATION_CFG.replace(
+            "normal-location:sigma=1", "tabulated:path=grid.csv"))
+        out = tmp_path / "results"
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == (f"error: {tmp_path / 'grid.csv'}: line 3: "
+                              "field larger than field limit (131072)\n")
+        assert not out.exists()
+
+
 def curve_text_reference(ys, grid):
     """condks curve's CSV built by sorting every (x, empirical, reference)
     row as a tuple and formatting each field with repr."""

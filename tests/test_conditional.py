@@ -487,6 +487,11 @@ class TestTabulatedFamily:
         bad.write_bytes(b"zeta,x,cdf\n0,0,0.1\n0,1\xff,0.9\n")
         with pytest.raises(ValueError, match=r"line 3: not valid UTF-8 \(byte 0xff"):
             TabulatedFamily.from_csv(bad)
+        # A field over csv.field_size_limit(), in a row and in the header.
+        with pytest.raises(ValueError, match=r"line 3: field larger than field limit \("):
+            load("zeta,x,cdf\n0,0,0.1\n" + "x" * 200_000 + ",1,0.9\n")
+        with pytest.raises(ValueError, match=r"line 1: field larger than field limit \("):
+            load("x" * 200_000 + ",x,cdf\n0,0,0.1\n")
 
 
 class TestConstantFamily:

@@ -194,3 +194,15 @@ class TestScenarioFiles:
         )
         with pytest.raises(ValueError, match="point-mass"):
             load_scenario(cfg)
+
+    def test_non_utf8_byte_is_named_by_file_and_line(self, tmp_path):
+        # The decoder's own message gave an offset in its chunk and no file.
+        cfg = tmp_path / "scen.cfg"
+        cfg.write_bytes(b"zeta_sampler = uniform:a=0,b=1\n"
+                        b"null_family = normal-location:sigma=1\n"
+                        b"n = 5\xff\nreplicates = 3\nseed = 1\n")
+        with pytest.raises(ValueError) as caught:
+            load_scenario(cfg)
+        assert str(caught.value) == (
+            f"{cfg}: line 3: not valid UTF-8 (byte 0xff: invalid start byte)"
+        )
