@@ -15,6 +15,8 @@ import sys
 import warnings
 from array import array
 from dataclasses import replace
+from itertools import chain
+from typing import Iterable
 
 import click
 import numpy as np
@@ -46,13 +48,14 @@ class _Main(click.Group):
             sys.exit(2)
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write ``text`` to stdout, or to the file ``out`` as UTF-8 with LF."""
+def _write(lines: Iterable[str], out: str | None) -> None:
+    """Write ``lines``, each ended by LF, to stdout in one call, or to the
+    file ``out`` as UTF-8 as they come, so a file is never held whole."""
     if out is None:
-        click.echo(text, nl=False)
+        click.echo("\n".join(lines))
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
 
 
 def _read_pairs(path: str) -> np.ndarray:
@@ -181,7 +184,7 @@ def cmd_table(n_max: int, alphas: tuple[float, ...], out: str | None) -> None:
     for size in range(1, n_max + 1):
         cells = [repr(critical_value(size, a)) for a in alphas]
         lines.append(f"{size}," + ",".join(cells))
-    _write("\n".join(lines) + "\n", out)
+    _write(lines, out)
 
 
 @main.command("simulate")
@@ -209,13 +212,9 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
         power = power_from_statistics(stats, config.n, alpha)
         summary["power"] = {**power._asdict(), "alpha": alpha}
     os.makedirs(out_dir, exist_ok=True)
-    # Streamed line by line, never held as one string.
-    with open(os.path.join(out_dir, "statistics.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("statistic\n")
-        for s in stats:
-            fh.write(repr(float(s)) + "\n")
-    _write(json.dumps(summary, indent=2) + "\n", os.path.join(out_dir, "summary.json"))
+    _write(chain(["statistic"], map(repr, map(float, stats))),
+           os.path.join(out_dir, "statistics.csv"))
+    _write([json.dumps(summary, indent=2)], os.path.join(out_dir, "summary.json"))
     sys.exit(1 if meta.reject else 0)
 
 
@@ -265,7 +264,7 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
         lines.append(f"{x},{fractions[count]},{x}")
         done = count
     lines.extend(jumps[done:])
-    _write("\n".join(lines) + "\n", out)
+    _write(lines, out)
 
 
 if __name__ == "__main__":

@@ -102,17 +102,6 @@ def _norm_quantile(p: np.ndarray) -> np.ndarray:
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def _broadcast(a, b):
-    A = np.asarray(a, dtype=float)
-    B = np.asarray(b, dtype=float)
-    scalar = A.ndim == 0 and B.ndim == 0
-    return A, B, scalar
-
-
-def _unwrap(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
-
-
 class ConditionalCdfFamily(ABC):
     """A family of CDFs indexed by a real conditioning parameter zeta.
 
@@ -156,8 +145,24 @@ class ConditionalCdfFamily(ABC):
             )
 
 
+class _ArrayFamily(ConditionalCdfFamily):
+    """The call convention of the built-in families, in one place: both
+    arguments become float arrays, the subclass's ``_cdf`` or ``_quantile``
+    evaluates its formula on them, and two scalar arguments give a float."""
+
+    def cdf(self, x, zeta):
+        X, Z = np.asarray(x, dtype=float), np.asarray(zeta, dtype=float)
+        out = self._cdf(X, Z)
+        return float(out) if X.ndim == Z.ndim == 0 else out
+
+    def quantile(self, p, zeta):
+        P, Z = np.asarray(p, dtype=float), np.asarray(zeta, dtype=float)
+        out = self._quantile(P, Z)
+        return float(out) if P.ndim == Z.ndim == 0 else out
+
+
 @dataclass(frozen=True)
-class NormalLocation(ConditionalCdfFamily):
+class NormalLocation(_ArrayFamily):
     """Normal with mean zeta and fixed scale sigma."""
 
     sigma: float = 1.0
@@ -167,48 +172,40 @@ class NormalLocation(ConditionalCdfFamily):
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def cdf(self, x, zeta):
-        X, Z, scalar = _broadcast(x, zeta)
-        return _unwrap(_norm_cdf((X - Z) / self.sigma), scalar)
+    def _cdf(self, X, Z):
+        return _norm_cdf((X - Z) / self.sigma)
 
-    def quantile(self, p, zeta):
-        P, Z, scalar = _broadcast(p, zeta)
-        return _unwrap(Z + self.sigma * _norm_quantile(P), scalar)
+    def _quantile(self, P, Z):
+        return Z + self.sigma * _norm_quantile(P)
 
 
 @dataclass(frozen=True)
-class ExponentialRate(ConditionalCdfFamily):
+class ExponentialRate(_ArrayFamily):
     """Exponential with rate zeta (zeta > 0), supported on [0, inf)."""
 
     name = "exponential-rate"
     zeta_lower = 0.0
     _zeta_label = "rate zeta"
 
-    def cdf(self, x, zeta):
-        X, Z, scalar = _broadcast(x, zeta)
-        out = -np.expm1(-Z * np.maximum(X, 0.0))
-        return _unwrap(out, scalar)
+    def _cdf(self, X, Z):
+        return -np.expm1(-Z * np.maximum(X, 0.0))
 
-    def quantile(self, p, zeta):
-        P, Z, scalar = _broadcast(p, zeta)
+    def _quantile(self, P, Z):
         with np.errstate(divide="ignore"):
-            out = -np.log1p(-P) / Z
-        return _unwrap(out, scalar)
+            return -np.log1p(-P) / Z
 
 
 @dataclass(frozen=True)
-class UniformWidth(ConditionalCdfFamily):
+class UniformWidth(_ArrayFamily):
     """Uniform on the unit-width window [zeta, zeta + 1]."""
 
     name = "uniform-width"
 
-    def cdf(self, x, zeta):
-        X, Z, scalar = _broadcast(x, zeta)
-        return _unwrap(np.clip(X - Z, 0.0, 1.0), scalar)
+    def _cdf(self, X, Z):
+        return np.clip(X - Z, 0.0, 1.0)
 
-    def quantile(self, p, zeta):
-        P, Z, scalar = _broadcast(p, zeta)
-        return _unwrap(Z + P, scalar)
+    def _quantile(self, P, Z):
+        return Z + P
 
 
 @contextmanager
@@ -267,7 +264,7 @@ def csv_records(path, header: tuple[str, ...]):
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-class TabulatedFamily(ConditionalCdfFamily):
+class TabulatedFamily(_ArrayFamily):
     """Family given numerically on a (zeta, x) grid, bilinearly interpolated.
 
     Outside the grid both coordinates clamp to the nearest edge.  Rows
@@ -350,8 +347,7 @@ class TabulatedFamily(ConditionalCdfFamily):
         w = np.clip((Z - zg[lo]) / (zg[hi] - zg[lo]), 0.0, 1.0)
         return lo, hi, w
 
-    def cdf(self, x, zeta):
-        X, Z, scalar = _broadcast(x, zeta)
+    def _cdf(self, X, Z):
         X, Z = np.broadcast_arrays(X, Z)
         xk = self.x_knots
         j = np.clip(np.searchsorted(xk, X, side="left"), 1, xk.size - 1)
@@ -360,10 +356,9 @@ class TabulatedFamily(ConditionalCdfFamily):
         cv = self.cdf_values
         row_lo = cv[lo, j - 1] * (1.0 - t) + cv[lo, j] * t
         row_hi = cv[hi, j - 1] * (1.0 - t) + cv[hi, j] * t
-        return _unwrap(row_lo * (1.0 - w) + row_hi * w, scalar)
+        return row_lo * (1.0 - w) + row_hi * w
 
-    def quantile(self, p, zeta):
-        P, Z, scalar = _broadcast(p, zeta)
+    def _quantile(self, P, Z):
         P, Z = np.broadcast_arrays(P, Z)
         p, z = P.ravel(), Z.ravel()
         lo, hi, w = self._zeta_brackets(z)
@@ -397,10 +392,10 @@ class TabulatedFamily(ConditionalCdfFamily):
         out = np.where(p >= last, xk[a], out)
         out = np.where(p <= first, xk[0], out)
         out[np.isnan(p)] = np.nan
-        return _unwrap(out.reshape(P.shape), scalar)
+        return out.reshape(P.shape)
 
 
-class ConstantFamily(ConditionalCdfFamily):
+class ConstantFamily(_ArrayFamily):
     """Lift an unconditional CDF into the family interface.
 
     zeta is accepted and ignored, so the conditional test collapses to
@@ -414,15 +409,13 @@ class ConstantFamily(ConditionalCdfFamily):
         self._cdf_fn = cdf_fn
         self._quantile_fn = quantile_fn
 
-    def cdf(self, x, zeta):
-        X, _, scalar = _broadcast(x, zeta)
-        return _unwrap(_libm(self._cdf_fn, X), scalar)
+    def _cdf(self, X, Z):
+        return _libm(self._cdf_fn, X)
 
-    def quantile(self, p, zeta):
+    def _quantile(self, P, Z):
         if self._quantile_fn is None:
             raise ValueError("this constant family has no quantile function")
-        P, _, scalar = _broadcast(p, zeta)
-        return _unwrap(_libm(self._quantile_fn, P), scalar)
+        return _libm(self._quantile_fn, P)
 
 
 def _sorted_pit(xi: np.ndarray, zeta: np.ndarray,

@@ -17,6 +17,7 @@ hypothesis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -138,6 +139,8 @@ class Scenario:
             raise ValueError(f"sample size must be >= 1, got {self.n}")
         if self.replicates < 1:
             raise ValueError(f"replicate count must be >= 1, got {self.replicates}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.data_family is None:
             object.__setattr__(self, "data_family", self.null_family)
         _check_sampler_domain(self.zeta_sampler, self.null_family, "null")

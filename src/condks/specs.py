@@ -13,7 +13,9 @@ list separator inside a value, e.g.
 A ``zeta=`` key pins the conditioning value, which is how a family spec
 names a fixed univariate CDF for the classic test.
 
-Scenario files are flat ``key = value`` lines with ``#`` comments:
+Scenario files are flat ``key = value`` lines with ``#`` comments.  A
+``#`` starts a comment only at the start of a line or after whitespace,
+so a value may hold one (``tabulated:path=g#1.csv``):
 
     zeta_sampler = uniform:a=0,b=1
     null_family  = normal-location:sigma=1
@@ -26,6 +28,7 @@ Scenario files are flat ``key = value`` lines with ``#`` comments:
 from __future__ import annotations
 
 import os
+import re
 
 from .conditional import (
     ConditionalCdfFamily,
@@ -165,7 +168,7 @@ def load_scenario(path) -> Scenario:
     values: dict[str, str] = {}
     with utf8_errors(path), open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")

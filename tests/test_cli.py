@@ -617,6 +617,16 @@ class TestSimulateCommand:
         assert runs == []
         assert not (out / "statistics.csv").exists()
 
+    def test_negative_seed_is_named(self, runner, tmp_path):
+        # numpy's own "expected non-negative integer" named no key.
+        cfg = tmp_path / "scen.cfg"
+        write_scenario(cfg, CALIBRATION_CFG.replace("seed = ", "seed = -"))
+        out = tmp_path / "results"
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: seed must be a non-negative integer, got -")
+        assert not out.exists()
+
     def test_missing_scenario_file(self, runner, tmp_path):
         res = runner.invoke(main, ["simulate", str(tmp_path / "no.cfg"),
                                    "--out", str(tmp_path / "x")])
@@ -784,6 +794,13 @@ def test_unwritable_out_is_a_data_error(runner, tmp_path, command):
     assert res.stderr == (
         f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(out)!r}\n"
     )
+
+
+def test_write_takes_lines_as_they_come(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    cli._write((f"row{i}" for i in range(3)), str(out))
+    cli._write((f"row{i}" for i in range(3)), None)
+    assert out.read_bytes() == capsys.readouterr().out.encode() == b"row0\nrow1\nrow2\n"
 
 
 def run_module(*args, stdout=subprocess.PIPE):

@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from condks import (
+    ConditionalCdfFamily,
     ConstantFamily,
     ExponentialRate,
     NormalLocation,
+    Scenario,
     TabulatedFamily,
+    UniformSampler,
     UniformWidth,
     ks_statistic_uniform,
     p_value,
     pit_transform,
+    replicate_rng,
+    run_replicates,
 )
 
 ANALYTIC_FAMILIES = [
@@ -37,6 +42,27 @@ def make_tabulated(nz: int = 61, nx: int = 401) -> TabulatedFamily:
     xk = np.linspace(-7.0, 10.0, nx)
     cv = NormalLocation(sigma=1.0).cdf(xk[None, :], zg[:, None])
     return TabulatedFamily(zg, xk, cv)
+
+
+BUILT_IN_FAMILIES = ANALYTIC_FAMILIES + [
+    make_tabulated(nz=7, nx=41),
+    ConstantFamily(lambda x: 1.0 / (1.0 + math.exp(-x)),
+                   lambda p: math.log(p / (1.0 - p))),
+]
+
+
+class ShiftedLogistic(ConditionalCdfFamily):
+    """A custom family as README describes it: a direct subclass whose cdf
+    and quantile evaluate whole arrays."""
+
+    name = "shifted-logistic"
+
+    def cdf(self, x, zeta):
+        return 1.0 / (1.0 + np.exp(np.asarray(zeta) - np.asarray(x)))
+
+    def quantile(self, p, zeta):
+        p = np.asarray(p)
+        return np.asarray(zeta) + np.log(p / (1.0 - p))
 
 
 class TestNormalQuantile:
@@ -242,6 +268,52 @@ class TestFamilyShapes:
         assert fam.cdf(-0.2, -1.2) == 1.0
         assert fam.cdf(-0.7, -1.2) == pytest.approx(0.5)
         assert fam.quantile(0.25, 2.0) == 2.25
+
+
+class TestCallConvention:
+    """Every built-in family takes scalars, lists and arrays of any shape
+    in both cdf and quantile; two scalars give a Python float."""
+
+    @pytest.mark.parametrize("family", BUILT_IN_FAMILIES, ids=lambda f: f.name)
+    def test_scalars_give_a_float(self, family):
+        for x, z in ((0.7, 0.4), (np.float64(0.7), np.float64(0.4)), (1, 1)):
+            assert type(family.cdf(x, z)) is float
+        assert type(family.quantile(0.3, 0.4)) is float
+        assert type(family.quantile(np.float64(0.3), 1)) is float
+
+    @pytest.mark.parametrize("family", BUILT_IN_FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("shape", [(5,), (3, 4)])
+    def test_arrays_keep_their_shape(self, family, shape):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.1, 1.5, shape)
+        p = rng.uniform(0.05, 0.95, shape)
+        z = rng.uniform(0.2, 1.5, shape)
+        assert family.cdf(x, z).shape == shape
+        assert family.quantile(p, z).shape == shape
+        assert family.cdf(x, 0.5).shape == shape
+        assert family.quantile(p, 0.5).shape == shape
+
+    @pytest.mark.parametrize("family", BUILT_IN_FAMILIES, ids=lambda f: f.name)
+    def test_lists_are_accepted(self, family):
+        x, p, z = [0.2, 0.9, 1.4], [0.1, 0.5, 0.8], [0.5, 1.0, 1.25]
+        assert np.array_equal(family.cdf(x, z), family.cdf(np.array(x), np.array(z)))
+        assert np.array_equal(family.quantile(p, z),
+                              family.quantile(np.array(p), np.array(z)))
+
+    def test_direct_subclass_runs_the_pipeline(self):
+        family = ShiftedLogistic()
+        sampler = UniformSampler(0.0, 1.0)
+        rng = replicate_rng(3, 0)
+        zetas = sampler.draw(rng, 20)
+        xi = family.quantile(rng.random(20), zetas)
+        sample = pit_transform(np.column_stack([xi, zetas]), family)
+        assert sample.values.shape == (20,)
+        assert np.all(np.diff(sample.values) >= 0.0)
+        stats = run_replicates(Scenario(zeta_sampler=sampler, null_family=family,
+                                        n=20, replicates=50, seed=3))
+        assert stats.shape == (50,)
+        assert np.all((stats > 0.0) & (stats <= 1.0))
+        assert stats[0] == pytest.approx(ks_statistic_uniform(sample), abs=1e-12)
 
 
 class TestZetaValidation:

@@ -93,6 +93,16 @@ class TestScenario:
         with pytest.raises(ValueError):
             calibration_scenario(replicates=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError) as caught:
+            calibration_scenario(seed=seed)
+        assert str(caught.value) == f"seed must be a non-negative integer, got {seed}"
+
+    def test_numpy_integer_seed_is_accepted(self):
+        stats = run_replicates(calibration_scenario(replicates=3, seed=np.int64(42)))
+        assert np.array_equal(stats, run_replicates(calibration_scenario(replicates=3)))
+
     def test_incompatible_bounded_sampler_rejected_up_front(self):
         with pytest.raises(ValueError, match="zeta > 0"):
             Scenario(zeta_sampler=UniformSampler(-1.0, 1.0),

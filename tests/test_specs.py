@@ -185,6 +185,31 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="integer"):
             load_scenario(cfg)
 
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        # A '#' opens a comment only at the start of a line or after
+        # whitespace, so it may appear inside a path.
+        write_table(tmp_path / "g#1.csv")
+        cfg = tmp_path / "scen.cfg"
+        cfg.write_text(
+            "zeta_sampler = uniform:a=0,b=1\n"
+            "null_family = tabulated:path=g#1.csv\t# the grid\n"
+            "  # indented comment\n"
+            "n = 5\nreplicates = 3\nseed = 1\n"
+        )
+        sc = load_scenario(cfg)
+        assert sc.null_family == TabulatedFamily.from_csv(tmp_path / "g#1.csv")
+
+    def test_hash_right_after_a_value_is_part_of_it(self, tmp_path):
+        cfg = tmp_path / "scen.cfg"
+        cfg.write_text(
+            "zeta_sampler = uniform:a=0,b=1\n"
+            "null_family = normal-location:sigma=1\n"
+            "n = 5# note\nreplicates = 3\nseed = 1\n"
+        )
+        with pytest.raises(ValueError) as caught:
+            load_scenario(cfg)
+        assert str(caught.value) == "scenario key 'n': '5# note' is not an integer"
+
     def test_pinned_zeta_rejected_in_scenario(self, tmp_path):
         cfg = tmp_path / "scen.cfg"
         cfg.write_text(
