@@ -147,18 +147,19 @@ class ConditionalCdfFamily(ABC):
 
 class _ArrayFamily(ConditionalCdfFamily):
     """The call convention of the built-in families, in one place: both
-    arguments become float arrays, the subclass's ``_cdf`` or ``_quantile``
-    evaluates its formula on them, and two scalar arguments give a float."""
+    arguments become float arrays of one broadcast shape (arrays of one
+    shape are not copied), the subclass's ``_cdf`` or ``_quantile``
+    evaluates its formula on them, and two scalars give a float."""
 
     def cdf(self, x, zeta):
-        X, Z = np.asarray(x, dtype=float), np.asarray(zeta, dtype=float)
+        X, Z = np.broadcast_arrays(np.asarray(x, float), np.asarray(zeta, float))
         out = self._cdf(X, Z)
-        return float(out) if X.ndim == Z.ndim == 0 else out
+        return float(out) if X.ndim == 0 else out
 
     def quantile(self, p, zeta):
-        P, Z = np.asarray(p, dtype=float), np.asarray(zeta, dtype=float)
+        P, Z = np.broadcast_arrays(np.asarray(p, float), np.asarray(zeta, float))
         out = self._quantile(P, Z)
-        return float(out) if P.ndim == Z.ndim == 0 else out
+        return float(out) if P.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -348,7 +349,6 @@ class TabulatedFamily(_ArrayFamily):
         return lo, hi, w
 
     def _cdf(self, X, Z):
-        X, Z = np.broadcast_arrays(X, Z)
         xk = self.x_knots
         j = np.clip(np.searchsorted(xk, X, side="left"), 1, xk.size - 1)
         t = np.clip((X - xk[j - 1]) / (xk[j] - xk[j - 1]), 0.0, 1.0)
@@ -359,7 +359,6 @@ class TabulatedFamily(_ArrayFamily):
         return row_lo * (1.0 - w) + row_hi * w
 
     def _quantile(self, P, Z):
-        P, Z = np.broadcast_arrays(P, Z)
         p, z = P.ravel(), Z.ravel()
         lo, hi, w = self._zeta_brackets(z)
         cv, xk = self.cdf_values, self.x_knots
@@ -398,8 +397,8 @@ class TabulatedFamily(_ArrayFamily):
 class ConstantFamily(_ArrayFamily):
     """Lift an unconditional CDF into the family interface.
 
-    zeta is accepted and ignored, so the conditional test collapses to
-    the classic one-sample test against ``cdf_fn``.
+    zeta's values are ignored (its shape is not), so the conditional test
+    collapses to the classic one-sample test against ``cdf_fn``.
     """
 
     name = "constant"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -47,6 +48,19 @@ AUTO_EXACT_LIMIT = 140
 # separately, as in the original MTW code).
 _RESCALE_HI = 1e140
 _RESCALE_LO = 1e-140
+
+
+def _integer_at_least(value, lower: int, what: str) -> int:
+    """``value`` as an int, if it is an integer (a numpy one included) of
+    at least ``lower``; otherwise a ValueError naming ``what``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = lower - 1
+    if number < lower:
+        bound = "a non-negative integer" if lower == 0 else f"an integer >= {lower}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    return number
 
 
 def asymptotic_cdf(x: float) -> float:
@@ -125,10 +139,9 @@ def exact_cdf(n: int, d: float) -> float:
     d <= 1/(2n) (the statistic's lower bound is attained with
     probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
     below 1e-16, which also caps the matrix size for large n.  Raises
-    ValueError for NaN.
+    ValueError for a NaN d and for an n that is not an integer >= 1.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = _integer_at_least(n, 1, "sample size")
     if not d > 0.0:
         if math.isnan(d):
             raise ValueError("d must not be NaN")
@@ -220,8 +233,7 @@ def p_value(statistic: float, n: int, mode: str = "auto") -> float:
     """
     if not 0.0 <= statistic <= 1.0:
         raise ValueError(f"statistic must lie in [0, 1], got {statistic}")
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = _integer_at_least(n, 1, "sample size")
     resolved = _resolve_mode(mode, n)
     if resolved == "exact":
         return 1.0 - exact_cdf(n, statistic)
@@ -298,8 +310,7 @@ def critical_value(n: int, alpha: float) -> float:
     starts from Massart's tight DKW bound, P(D_n > d) <= 2 exp(-2 n d^2),
     whose level-alpha point is an upper end close to the answer.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = _integer_at_least(n, 1, "sample size")
     target = _level_target(alpha)
     # exact_cdf(n, 1/(2n)) = 0 and exact_cdf(n, 1) = 1 by definition.
     lo, cdf_lo = 1.0 / (2.0 * n), 0.0

@@ -17,7 +17,6 @@ hypothesis.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .conditional import ConditionalCdfFamily, _sorted_pit
 from .empirical import SortedUnitSample, ks_statistic_rows, ks_statistic_uniform
-from .kolmogorov import exact_cdf, p_value
+from .kolmogorov import _integer_at_least, exact_cdf, p_value
 from .testing import TestReport, _build_report
 
 
@@ -135,12 +134,9 @@ class Scenario:
     data_family: ConditionalCdfFamily | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.n}")
-        if self.replicates < 1:
-            raise ValueError(f"replicate count must be >= 1, got {self.replicates}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _integer_at_least(self.n, 1, "sample size")
+        _integer_at_least(self.replicates, 1, "replicate count")
+        _integer_at_least(self.seed, 0, "seed")
         if self.data_family is None:
             object.__setattr__(self, "data_family", self.null_family)
         _check_sampler_domain(self.zeta_sampler, self.null_family, "null")

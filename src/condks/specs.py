@@ -69,24 +69,17 @@ def _split_spec(text: str, what: str) -> tuple[str, dict[str, str]]:
     return name, params
 
 
-def _pop_float(params: dict[str, str], key: str, spec: str) -> float:
+def _pop(params: dict[str, str], key: str, spec: str,
+         parse=float, wording: str = "a number"):
+    """Remove ``key`` from ``params`` and return ``parse`` of its value; a
+    missing key, or a value ``parse`` refuses, is a ValueError naming both."""
     raw = params.pop(key, None)
     if raw is None:
         raise ValueError(f"spec {spec!r}: missing required key {key!r}")
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise ValueError(f"spec {spec!r}: {key}={raw!r} is not a number") from None
-
-
-def _pop_float_list(params: dict[str, str], key: str, spec: str) -> list[float]:
-    raw = params.pop(key, None)
-    if raw is None:
-        raise ValueError(f"spec {spec!r}: missing required key {key!r}")
-    try:
-        return [float(v) for v in raw.split("|")]
-    except ValueError:
-        raise ValueError(f"spec {spec!r}: {key}={raw!r} is not a |-separated number list") from None
+        raise ValueError(f"spec {spec!r}: {key}={raw!r} is not {wording}") from None
 
 
 def _reject_extras(params: dict[str, str], spec: str) -> None:
@@ -101,19 +94,17 @@ def parse_family_spec(text: str, base_dir: str | None = None
     name, params = _split_spec(text, "family")
     pinned = None
     if "zeta" in params:
-        pinned = _pop_float(params, "zeta", text)
+        pinned = _pop(params, "zeta", text)
     family: ConditionalCdfFamily
     if name == "normal-location":
-        sigma = _pop_float(params, "sigma", text) if "sigma" in params else 1.0
+        sigma = _pop(params, "sigma", text) if "sigma" in params else 1.0
         family = NormalLocation(sigma=sigma)
     elif name == "exponential-rate":
         family = ExponentialRate()
     elif name == "uniform-width":
         family = UniformWidth()
     elif name == "tabulated":
-        path = params.pop("path", None)
-        if path is None:
-            raise ValueError(f"spec {text!r}: missing required key 'path'")
+        path = _pop(params, "path", text, str)
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         family = TabulatedFamily.from_csv(path)
@@ -128,15 +119,17 @@ def parse_family_spec(text: str, base_dir: str | None = None
 def parse_sampler_spec(text: str) -> ZetaSampler:
     name, params = _split_spec(text, "sampler")
     if name == "uniform":
-        a = _pop_float(params, "a", text)
-        b = _pop_float(params, "b", text)
+        a = _pop(params, "a", text)
+        b = _pop(params, "b", text)
         sampler: ZetaSampler = UniformSampler(a=a, b=b)
     elif name == "point-mass":
-        sampler = PointMassSampler(c=_pop_float(params, "c", text))
+        sampler = PointMassSampler(c=_pop(params, "c", text))
     elif name == "gaussian-mixture":
-        weights = _pop_float_list(params, "weights", text)
-        means = _pop_float_list(params, "means", text)
-        sds = _pop_float_list(params, "sds", text)
+        weights, means, sds = (
+            _pop(params, key, text, lambda raw: [float(v) for v in raw.split("|")],
+                 "a |-separated number list")
+            for key in ("weights", "means", "sds")
+        )
         if not len(weights) == len(means) == len(sds):
             raise ValueError(
                 f"spec {text!r}: weights, means and sds must have equal length"

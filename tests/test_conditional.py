@@ -300,6 +300,23 @@ class TestCallConvention:
         assert np.array_equal(family.quantile(p, z),
                               family.quantile(np.array(p), np.array(z)))
 
+    @pytest.mark.parametrize("family", BUILT_IN_FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("x_shape, z_shape", [((), (3,)), ((3,), ()), ((2, 1), (3,))])
+    def test_mixed_shapes_broadcast(self, family, x_shape, z_shape):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.1, 1.5, x_shape)
+        p = rng.uniform(0.05, 0.95, x_shape)
+        z = rng.uniform(0.2, 1.5, z_shape)
+        shape = np.broadcast_shapes(x_shape, z_shape)
+        cdf, quantile = family.cdf(x, z), family.quantile(p, z)
+        assert cdf.shape == shape
+        assert quantile.shape == shape
+        # Each entry is the scalar call on its own pair.
+        xb, pb, zb = np.broadcast_arrays(x, p, z)
+        for i in np.ndindex(shape):
+            assert cdf[i] == family.cdf(float(xb[i]), float(zb[i]))
+            assert quantile[i] == family.quantile(float(pb[i]), float(zb[i]))
+
     def test_direct_subclass_runs_the_pipeline(self):
         family = ShiftedLogistic()
         sampler = UniformSampler(0.0, 1.0)

@@ -13,6 +13,7 @@ from condks import (
     exact_cdf,
     p_value,
 )
+from condks.monte_carlo import meta_test, power_from_statistics
 
 
 def series_oracle(x: float, terms: int = 50) -> float:
@@ -316,6 +317,37 @@ class TestPValue:
             p_value(0.3, 0)
         with pytest.raises(ValueError):
             p_value(0.3, 10, "bogus")
+
+
+class TestSampleSizeRule:
+    """Every null-law entry point takes n only as an integer >= 1."""
+
+    CALLS = {
+        "exact_cdf": lambda n: exact_cdf(n, 0.3),
+        "p_value-exact": lambda n: p_value(0.3, n, "exact"),
+        "p_value-asymptotic": lambda n: p_value(0.3, n, "asymptotic"),
+        "critical_value": lambda n: critical_value(n, 0.05),
+        "meta_test": lambda n: meta_test([0.3], n),
+        "power_from_statistics": lambda n: power_from_statistics([0.3], n, 0.05),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize("n", [2.5, np.float64(50.0), 0, -3], ids=repr)
+    def test_non_integer_or_small_n_is_refused(self, call, n):
+        with pytest.raises(ValueError) as caught:
+            call(n)
+        assert str(caught.value) == f"sample size must be an integer >= 1, got {n}"
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_numpy_integer_gives_the_same_bits(self, call):
+        got, want = call(np.int64(50)), call(50)
+        assert type(got) is type(want)
+        assert got == want
+
+    @pytest.mark.parametrize("d", [0.02, 0.05, 0.2, 0.45, 0.9])
+    def test_numpy_integer_exact_cdf_bits(self, d):
+        for n in (1, 50, 141, 1000):
+            assert exact_cdf(np.int64(n), d) == exact_cdf(n, d)
 
 
 class TestCriticalValue:

@@ -92,6 +92,11 @@ class TestScenario:
             calibration_scenario(n=0)
         with pytest.raises(ValueError):
             calibration_scenario(replicates=0)
+        with pytest.raises(ValueError, match="^sample size must be an integer >= 1, got 5.5$"):
+            calibration_scenario(n=5.5)
+        with pytest.raises(ValueError,
+                           match="^replicate count must be an integer >= 1, got 2.5$"):
+            calibration_scenario(replicates=2.5)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
