@@ -23,6 +23,7 @@ import numpy as np
 
 from .conditional import csv_records, pit_transform
 from .kolmogorov import (
+    _level,
     asymptotic_cdf,
     asymptotic_critical_value,
     critical_value,
@@ -201,9 +202,8 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
     Exits 1 when the calibration meta-test rejects (expected for
     power scenarios, whose statistics are not null-distributed).
     """
-    for option, level in (("--alpha", alpha), ("--meta-alpha", meta_alpha)):
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"{option} must lie in (0, 1), got {level}")
+    _level(alpha, "--alpha")
+    _level(meta_alpha, "--meta-alpha")
     config = load_scenario(scenario)
     stats = run_replicates(config)
     meta = meta_test(stats, config.n, alpha=meta_alpha)

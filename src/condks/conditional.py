@@ -326,16 +326,15 @@ class TabulatedFamily(_ArrayFamily):
             entries[(z, x)] = c
         if not entries:
             raise ValueError(f"{path}: table has no data rows")
-        zg = np.unique([z for z, _ in entries])
-        xk = np.unique([x for _, x in entries])
+        z, x = np.array(list(entries)).T
+        zg, xk = np.unique(z), np.unique(x)
         if len(entries) != zg.size * xk.size:
             raise ValueError(
                 f"{path}: incomplete grid, {len(entries)} points for a "
                 f"{zg.size} x {xk.size} table"
             )
         cv = np.empty((zg.size, xk.size))
-        for (z, x), c in entries.items():
-            cv[np.searchsorted(zg, z), np.searchsorted(xk, x)] = c
+        cv[np.searchsorted(zg, z), np.searchsorted(xk, x)] = list(entries.values())
         return cls(zg, xk, cv)
 
     def _zeta_brackets(self, Z: np.ndarray):

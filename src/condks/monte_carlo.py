@@ -24,7 +24,7 @@ import numpy as np
 
 from .conditional import ConditionalCdfFamily, _sorted_pit
 from .empirical import SortedUnitSample, ks_statistic_rows, ks_statistic_uniform
-from .kolmogorov import _integer_at_least, exact_cdf, p_value
+from .kolmogorov import _integer_at_least, _level, exact_cdf, p_value
 from .testing import TestReport, _build_report
 
 
@@ -199,15 +199,21 @@ def run_replicates(scenario: Scenario) -> np.ndarray:
     return out
 
 
+def _statistics_array(statistics: Iterable[float]) -> np.ndarray:
+    """The statistics as a float array, refused when empty."""
+    stats = np.asarray(list(statistics), dtype=float)
+    if stats.size == 0:
+        raise ValueError("need at least one statistic")
+    return stats
+
+
 def meta_test(statistics: Iterable[float], n: int, alpha: float = 0.01) -> TestReport:
     """KS-uniformity check of simulated statistics against the exact law.
 
     ``n`` is the per-replicate sample size the statistics were computed
     at.  The report's own sample size is the replicate count.
     """
-    stats = np.asarray(list(statistics), dtype=float)
-    if stats.size == 0:
-        raise ValueError("need at least one statistic")
+    stats = _statistics_array(statistics)
     transformed = np.sort([exact_cdf(n, float(s)) for s in stats])
     meta_stat = ks_statistic_uniform(SortedUnitSample(transformed))
     return _build_report("classic", stats.size, meta_stat, alpha, "auto")
@@ -222,11 +228,8 @@ def power_from_statistics(statistics: Iterable[float], n: int,
                           alpha: float) -> PowerEstimate:
     """Fraction of the statistics the level-alpha test at sample size n
     rejects, with its binomial standard error sqrt(r (1 - r) / count)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    stats = np.asarray(list(statistics), dtype=float)
-    if stats.size == 0:
-        raise ValueError("need at least one statistic")
+    _level(alpha, "alpha")
+    stats = _statistics_array(statistics)
     rejections = sum(1 for s in stats if p_value(float(s), n, "auto") < alpha)
     rate = rejections / stats.size
     se = math.sqrt(rate * (1.0 - rate) / stats.size)
@@ -236,6 +239,5 @@ def power_from_statistics(statistics: Iterable[float], n: int,
 def power_estimate(scenario: Scenario, alpha: float = 0.05) -> PowerEstimate:
     """Fraction of replicates the level-alpha test rejects, with its
     binomial standard error sqrt(r (1 - r) / replicates)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _level(alpha, "alpha")
     return power_from_statistics(run_replicates(scenario), scenario.n, alpha)

@@ -71,15 +71,17 @@ def _split_spec(text: str, what: str) -> tuple[str, dict[str, str]]:
 
 def _pop(params: dict[str, str], key: str, spec: str,
          parse=float, wording: str = "a number"):
-    """Remove ``key`` from ``params`` and return ``parse`` of its value; a
-    missing key, or a value ``parse`` refuses, is a ValueError naming both."""
+    """Remove ``key`` and return ``parse`` of its value; a missing key, an
+    empty value or one ``parse`` refuses is a ValueError naming both."""
     raw = params.pop(key, None)
     if raw is None:
         raise ValueError(f"spec {spec!r}: missing required key {key!r}")
     try:
-        return parse(raw)
+        if raw:
+            return parse(raw)
     except ValueError:
-        raise ValueError(f"spec {spec!r}: {key}={raw!r} is not {wording}") from None
+        pass
+    raise ValueError(f"spec {spec!r}: {key}={raw!r} is not {wording}")
 
 
 def _reject_extras(params: dict[str, str], spec: str) -> None:
@@ -104,7 +106,7 @@ def parse_family_spec(text: str, base_dir: str | None = None
     elif name == "uniform-width":
         family = UniformWidth()
     elif name == "tabulated":
-        path = _pop(params, "path", text, str)
+        path = _pop(params, "path", text, str, "a file path")
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         family = TabulatedFamily.from_csv(path)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditional import ConditionalCdfFamily, ConstantFamily, pit_transform
 from .empirical import ks_statistic_uniform
-from .kolmogorov import _resolve_mode, p_value
+from .kolmogorov import _level, _resolve_mode, p_value
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class TestReport:
 
 def _build_report(kind: str, n: int, statistic: float, alpha: float,
                   mode: str) -> TestReport:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _level(alpha, "alpha")
     resolved = _resolve_mode(mode, n)
     p = float(p_value(statistic, n, resolved))
     return TestReport(

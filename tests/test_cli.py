@@ -150,6 +150,14 @@ class TestTestCommand:
                                    "--family", f"exponential-rate:zeta={pin}"])
         assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {reason}\n")
 
+    def test_empty_grid_path_is_named(self, runner, tmp_path):
+        # It used to end with "[Errno 2] No such file or directory: ''".
+        data = tmp_path / "d.csv"
+        data.write_text("xi,zeta\n0.5,1\n")
+        res = runner.invoke(main, ["test", str(data), "--family", "tabulated:path="])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: spec 'tabulated:path=': path='' is not a file path\n")
+
     def test_crlf_input_accepted(self, runner, tmp_path):
         data = tmp_path / "crlf.csv"
         data.write_bytes(b"xi,zeta\r\n0,0\r\n1,1\r\n")
@@ -616,6 +624,18 @@ class TestSimulateCommand:
         assert res.output == "error: --meta-alpha must lie in (0, 1), got 2.0\n"
         assert runs == []
         assert not (out / "statistics.csv").exists()
+
+    def test_empty_grid_path_is_named(self, runner, tmp_path):
+        # It used to join '' to the scenario's directory and end with
+        # "[Errno 21] Is a directory".
+        cfg = tmp_path / "scen.cfg"
+        write_scenario(cfg, CALIBRATION_CFG.replace("normal-location:sigma=1",
+                                                    "tabulated:path="))
+        out = tmp_path / "results"
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: spec 'tabulated:path=': path='' is not a file path\n")
+        assert not out.exists()
 
     def test_negative_seed_is_named(self, runner, tmp_path):
         # numpy's own "expected non-negative integer" named no key.

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 
@@ -551,6 +552,19 @@ class TestTabulatedFamily:
         path.write_text("\n".join(lines) + "\n")
         loaded = TabulatedFamily.from_csv(path)
         assert loaded == TabulatedFamily(zg, xk, cv)
+
+    def test_shuffled_rows_load_like_sorted_rows(self, tmp_path):
+        # Row order is free: each point lands in its cell whatever its line.
+        tab = make_tabulated(7, 13)
+        lines = [f"{z!r},{x!r},{c!r}" for z, row in zip(tab.zeta_grid.tolist(),
+                                                      tab.cdf_values.tolist())
+                 for x, c in zip(tab.x_knots.tolist(), row)]
+        loaded = []
+        for order in (lines, random.Random(5).sample(lines, len(lines))):
+            path = tmp_path / "grid.csv"
+            path.write_text("zeta,x,cdf\n" + "\n".join(order) + "\n")
+            loaded.append(TabulatedFamily.from_csv(path))
+        assert loaded[0] == loaded[1] == tab
 
     def test_csv_errors(self, tmp_path):
         def load(text):

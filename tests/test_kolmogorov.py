@@ -51,9 +51,10 @@ def _transition_matrix_reference(k: int, h: float) -> np.ndarray:
     return H
 
 
-def exact_cdf_reference(n: int, d: float) -> float:
+def exact_cdf_reference(n: int, d: float, rescales: list | None = None) -> float:
     """The MTW law with the n!/n^n factor applied one rescaled step at a
-    time and every scalar read straight from the matrices."""
+    time and every scalar read straight from the matrices.  Each i at
+    which that loop rescales is appended to ``rescales``, if given."""
     if d <= 0.0:
         return 0.0
     if d >= 1.0:
@@ -97,6 +98,8 @@ def exact_cdf_reference(n: int, d: float) -> float:
         if s < 1e-140:
             s *= 1e140
             eV -= 140
+            if rescales is not None:
+                rescales.append(i)
     s *= 10.0 ** eV
     return float(min(1.0, max(0.0, s)))
 
@@ -131,7 +134,25 @@ def bit_sweep_points() -> list[tuple[int, float]]:
                float(rng.random())]
         points += [(n, d) for d in ds]
     points += [(10_000, d) for d in (0.0051, 0.0136, 0.5 / 10_000 * 1.5)]
+    # n!/n^n is applied a chunk of ratios at a time: sizes on either side
+    # of one and two chunks, from a tiny d (rescaled) to the DKW cutoff.
+    chunk = condks.kolmogorov._CHUNK
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        lower, cut = 1.0 / (2.0 * n), _dkw_cutoff(n)
+        ds = [lower * (1.0 + 1e-9), lower * 1.05, 3.0 / n, 1.0 / math.sqrt(n),
+              math.nextafter(cut, down)]
+        points += [(n, d) for d in ds]
+    # The first rescale of the n!/n^n loop falls on a chunk's last ratio.
+    points += [CHUNK_END_RESCALE]
+    # Matrices of size m >= 171, past the tables built at import.
+    points += [(n, d) for n in (400, 777, 2000)
+               for d in (math.nextafter(_dkw_cutoff(n), down), 0.99 * _dkw_cutoff(n))]
     return points
+
+
+# (n, d) whose n!/n^n loop first rescales at i = 64, the last ratio of the
+# first chunk (checked in test_chunk_end_point_rescales_on_a_chunk_end).
+CHUNK_END_RESCALE = (82, 1.05 / 164)
 
 
 class TestAsymptoticCdf:
@@ -248,20 +269,28 @@ class TestExactCdf:
             assert type(got) is float
             assert got == exact_cdf_reference(n, d), (n, d)
 
-    @pytest.mark.parametrize("n, d, path", [
+    # Each case names the regime its input was picked for: "prod", no
+    # rescale anywhere; "loop", no rescale while powering but n!/n^n ends
+    # below 1e-140; "rescaled", powering rescaled, up for a tiny V or down
+    # for a large one.
+    @pytest.mark.parametrize("n, d, case", [
         (50, 0.2, "prod"),
         (140, 0.09, "prod"),
         (200, 0.07, "prod"),
-        # No rescale while powering, but the product ends below 1e-140.
         (100, 1.1 / 200, "loop"),
         (200, 1.5 / 400, "loop"),
-        # Powering rescaled: up for a tiny V, down for a large one.
         (20, (1.0 + 1e-9) / 40, "rescaled"),
         (500, 1.0 / math.sqrt(500), "rescaled"),
         (1000, 1.0 / math.sqrt(1000), "rescaled"),
         (3000, 1.0 / math.sqrt(3000), "rescaled"),
     ])
-    def test_each_factor_path_matches_reference(self, monkeypatch, n, d, path):
+    def test_each_factor_path_matches_reference(self, monkeypatch, n, d, case):
+        # One math.prod per chunk of ratios; a product below 1e-140 marks a
+        # chunk the rescaling loop redoes, which must be each chunk where
+        # the reference's loop rescaled.
+        chunk = condks.kolmogorov._CHUNK
+        rescales = []
+        want = exact_cdf_reference(n, d, rescales)
         products = []
         prod = math.prod
 
@@ -271,13 +300,17 @@ class TestExactCdf:
 
         monkeypatch.setattr(math, "prod", spy)
         got = exact_cdf(n, d)
-        if path == "rescaled":
-            assert products == []
-        else:
-            assert len(products) == 1
-            assert (products[0] >= 1e-140) == (path == "prod")
+        assert len(products) == math.ceil(n / chunk)
+        assert sum(p < 1e-140 for p in products) == len({(i - 1) // chunk for i in rescales})
+        if case != "rescaled":
+            assert (rescales == []) == (case == "prod")
         assert type(got) is float
-        assert got == exact_cdf_reference(n, d)
+        assert got == want
+
+    def test_chunk_end_point_rescales_on_a_chunk_end(self):
+        rescales = []
+        exact_cdf_reference(*CHUNK_END_RESCALE, rescales)
+        assert rescales[0] == condks.kolmogorov._CHUNK
 
 
 class TestPValue:
