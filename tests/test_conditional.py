@@ -422,11 +422,32 @@ class TestPitTransform:
             pit_transform([(0.1, 0.0), (0.5, 0.0), (0.6, 0.0), (0.9, 0.0)], fam)
 
 
+def bracket_one_reference(grid: np.ndarray, v: float) -> tuple[int, int, float]:
+    """The grid cell of one value, clamped at both ends: its two rows and
+    the weight of the upper one (a one-point grid: row 0 twice, weight 0)."""
+    if grid.size == 1:
+        return 0, 0, 0.0
+    hi = min(max(int(np.searchsorted(grid, v, side="left")), 1), grid.size - 1)
+    w = (v - grid[hi - 1]) / (grid[hi] - grid[hi - 1])
+    return hi - 1, hi, float(np.clip(w, 0.0, 1.0))
+
+
+def cdf_one_reference(fam: TabulatedFamily, x: float, zeta: float) -> float:
+    """The scalar TabulatedFamily.cdf: interpolate in x on the two rows
+    around zeta, then between them."""
+    lo, hi, w = bracket_one_reference(fam.zeta_grid, zeta)
+    left, right, t = bracket_one_reference(fam.x_knots, x)
+    cv = fam.cdf_values
+    below = cv[lo, left] * (1.0 - t) + cv[lo, right] * t
+    above = cv[hi, left] * (1.0 - t) + cv[hi, right] * t
+    return float(below * (1.0 - w) + above * w)
+
+
 def quantile_one_reference(fam: TabulatedFamily, p: float, zeta: float) -> float:
     """The scalar TabulatedFamily.quantile: interpolate the whole cdf row
     at zeta, then search it for p."""
-    lo, hi, w = fam._zeta_brackets(np.asarray(zeta, dtype=float))
-    row = (1.0 - float(w)) * fam.cdf_values[int(lo)] + float(w) * fam.cdf_values[int(hi)]
+    lo, hi, w = bracket_one_reference(fam.zeta_grid, zeta)
+    row = (1.0 - w) * fam.cdf_values[lo] + w * fam.cdf_values[hi]
     xk = fam.x_knots
     if p <= row[0]:
         return float(xk[0])
@@ -477,13 +498,41 @@ class TestTabulatedFamily:
         assert fam.quantile(0.5, 0.0) == 1.0
 
     @pytest.mark.parametrize("nz", [1, 2, 61])
-    def test_quantile_matches_scalar_reference(self, nz):
-        # Rows rounded to 3 digits have flat segments, and reach their
-        # maximum (1.0) well before the last knot.
-        smooth = make_tabulated(nz, 401)
-        tab = TabulatedFamily(smooth.zeta_grid, smooth.x_knots,
-                              np.round(smooth.cdf_values, 3))
+    def test_cdf_matches_scalar_reference(self, nz):
+        tab = make_tabulated(nz, 401)
         rng = np.random.default_rng(nz)
+        ends = [-np.inf, np.inf, np.nan, -0.0]
+        # x and zeta inside, on and outside their grids
+        x = np.concatenate([rng.uniform(-9.0, 12.0, 400), tab.x_knots, ends])
+        zeta = np.concatenate([rng.uniform(-3.0, 4.0, 50), tab.zeta_grid, ends])
+        X, Z = (a.ravel() for a in np.meshgrid(x, np.append(ends, rng.choice(zeta, 8))))
+        X = np.concatenate([X, rng.choice(x, 3000)])
+        Z = np.concatenate([Z, rng.choice(zeta, 3000)])
+        got = tab.cdf(X, Z)
+        want = np.array([cdf_one_reference(tab, a, b) for a, b in zip(X, Z)])
+        assert got.shape == X.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        c = tab.cdf(0.3, 0.5)
+        assert type(c) is float and c == cdf_one_reference(tab, 0.3, 0.5)
+
+    @pytest.mark.parametrize("nz, nx, rows", [
+        (1, 401, "rounded"), (2, 401, "rounded"), (61, 401, "rounded"),
+        (1, 2, "rounded"), (7, 2, "rounded"), (1, 3, "rounded"), (7, 3, "rounded"),
+        (1, 9, "steps"), (7, 9, "steps"),
+    ])
+    def test_quantile_matches_scalar_reference(self, nz, nx, rows):
+        # Rows rounded to 3 digits have flat segments, and reach their
+        # maximum (1.0) well before the last knot.  Step rows are all 0,
+        # then all 1, with the step at a knot that moves from row to row.
+        # nx = 2 and 3 take the knot search through one and two rounds.
+        smooth = make_tabulated(nz, nx)
+        if rows == "rounded":
+            cv = np.round(smooth.cdf_values, 3)
+        else:
+            steps = np.arange(nz) % (nx - 1) + 1
+            cv = (np.arange(nx)[None, :] >= steps[:, None]).astype(float)
+        tab = TabulatedFamily(smooth.zeta_grid, smooth.x_knots, cv)
+        rng = np.random.default_rng(nz * nx)
         p = np.concatenate([rng.random(3000), np.unique(tab.cdf_values),
                             [0.0, 1.0, -0.5, 1.5, 1e-4, 1.0 - 1e-12]])
         # zetas inside, on and outside the grid
@@ -496,8 +545,11 @@ class TestTabulatedFamily:
         k = p.size // 2 * 2
         assert np.array_equal(tab.quantile(p[:k].reshape(2, -1), zeta[:k].reshape(2, -1)),
                               want[:k].reshape(2, -1))
-        q = tab.quantile(0.3, 0.5)
-        assert type(q) is float and q == quantile_one_reference(tab, 0.3, 0.5)
+        for a in (0.3, 0.0, 1.0):
+            q = tab.quantile(a, 0.5)
+            assert type(q) is float and q == quantile_one_reference(tab, a, 0.5)
+        q = tab.quantile(float("nan"), 0.5)
+        assert type(q) is float and math.isnan(q)
 
     def test_quantile_ends_of_the_row(self):
         fam = TabulatedFamily([0.0], [0.0, 1.0, 2.0, 3.0, 4.0],
