@@ -171,7 +171,7 @@ def cmd_dist(n: int | None, asymptotic: bool, query: str, value: float) -> None:
 
 
 @main.command("table")
-@click.option("--n-max", type=int, required=True,
+@click.option("--n-max", type=click.IntRange(min=1), required=True,
               help="Tabulate sample sizes 1..N_MAX.")
 @click.option("--alpha", "alphas", type=float, multiple=True,
               default=(0.2, 0.1, 0.05, 0.01), show_default=True)
@@ -179,8 +179,6 @@ def cmd_dist(n: int | None, asymptotic: bool, query: str, value: float) -> None:
               help="Write the CSV here instead of stdout.")
 def cmd_table(n_max: int, alphas: tuple[float, ...], out: str | None) -> None:
     """Print a critical-value table as CSV, one row per sample size."""
-    if n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {n_max}")
     lines = ["n," + ",".join(repr(float(a)) for a in alphas)]
     for size in range(1, n_max + 1):
         cells = [repr(critical_value(size, a)) for a in alphas]
@@ -223,7 +221,8 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
 @click.option("--family", "family_spec", required=True)
 @click.option("--kind", type=click.Choice(["conditional", "classic"]),
               default="conditional", show_default=True)
-@click.option("--grid", "grid_size", type=int, default=100, show_default=True,
+@click.option("--grid", "grid_size", type=click.IntRange(min=0), default=100,
+              show_default=True,
               help="Extra evenly spaced evaluation points; 0 for jumps only.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the CSV here instead of stdout.")
@@ -236,8 +235,6 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
     across rows equals the KS statistic exactly; nothing is plotted
     here, the CSV is meant for external tooling.
     """
-    if grid_size < 0:
-        raise ValueError(f"--grid must be >= 0, got {grid_size}")
     pairs, family = _read_input(data, family_spec, kind)
     ys = pit_transform(pairs, family).values
     n = ys.size

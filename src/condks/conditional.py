@@ -265,12 +265,25 @@ def csv_records(path, header: tuple[str, ...]):
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+def _bracket(grid: np.ndarray, v: np.ndarray):
+    """Cell of each v on a grid, clamped at both ends: j, for rows j - 1
+    and j, and the weight of row j.  A one-point grid gives j = 0 and
+    weight 0, so both rows are its one row."""
+    if grid.size == 1:
+        return np.zeros(v.shape, dtype=int), np.zeros(v.shape)
+    j = np.clip(np.searchsorted(grid, v, side="left"), 1, grid.size - 1)
+    return j, np.clip((v - grid[j - 1]) / (grid[j] - grid[j - 1]), 0.0, 1.0)
+
+
 class TabulatedFamily(_ArrayFamily):
     """Family given numerically on a (zeta, x) grid, bilinearly interpolated.
 
     Outside the grid both coordinates clamp to the nearest edge.  Rows
     must be non-decreasing in x with values in [0, 1]; this is checked
-    at construction.
+    at construction.  The quantile inverts the row interpolated at zeta:
+    p at or below its first entry gives the first knot, p at or above its
+    maximum the smallest knot reaching that maximum, p on a flat segment
+    the segment's left knot, and NaN gives NaN.
     """
 
     name = "tabulated"
@@ -337,60 +350,41 @@ class TabulatedFamily(_ArrayFamily):
         cv[np.searchsorted(zg, z), np.searchsorted(xk, x)] = list(entries.values())
         return cls(zg, xk, cv)
 
-    def _zeta_brackets(self, Z: np.ndarray):
-        zg = self.zeta_grid
-        if zg.size == 1:
-            zeros = np.zeros(Z.shape, dtype=int)
-            return zeros, zeros, np.zeros(Z.shape)
-        hi = np.clip(np.searchsorted(zg, Z, side="left"), 1, zg.size - 1)
-        lo = hi - 1
-        w = np.clip((Z - zg[lo]) / (zg[hi] - zg[lo]), 0.0, 1.0)
-        return lo, hi, w
-
     def _cdf(self, X, Z):
-        xk = self.x_knots
-        j = np.clip(np.searchsorted(xk, X, side="left"), 1, xk.size - 1)
-        t = np.clip((X - xk[j - 1]) / (xk[j] - xk[j - 1]), 0.0, 1.0)
-        lo, hi, w = self._zeta_brackets(Z)
+        j, t = _bracket(self.x_knots, X)
+        k, w = _bracket(self.zeta_grid, Z)
         cv = self.cdf_values
-        row_lo = cv[lo, j - 1] * (1.0 - t) + cv[lo, j] * t
-        row_hi = cv[hi, j - 1] * (1.0 - t) + cv[hi, j] * t
+        row_lo = cv[k - 1, j - 1] * (1.0 - t) + cv[k - 1, j] * t
+        row_hi = cv[k, j - 1] * (1.0 - t) + cv[k, j] * t
         return row_lo * (1.0 - w) + row_hi * w
 
     def _quantile(self, P, Z):
-        p, z = P.ravel(), Z.ravel()
-        lo, hi, w = self._zeta_brackets(z)
+        k, w = _bracket(self.zeta_grid, Z)
         cv, xk = self.cdf_values, self.x_knots
 
         def row(j):
             # Entry j of each value's interpolated cdf row, with the same
             # operations as forming the whole row.
-            return (1.0 - w) * cv[lo, j] + w * cv[hi, j]
+            return (1.0 - w) * cv[k - 1, j] + w * cv[k, j]
 
         first, last = row(0), row(xk.size - 1)
-        # Smallest knot j whose row entry reaches the target: p itself, or
-        # the row's maximum for p at or above it (rows are non-decreasing,
-        # so a binary search over j finds it, one probe per value per round).
-        target = np.where(p >= last, last, p)
-        a = np.zeros(p.size, dtype=int)
-        b = np.full(p.size, xk.size - 1)
-        while True:
-            active = a < b
-            if not active.any():
-                break
-            m = (a + b) // 2
-            reached = row(m) >= target
-            b = np.where(active & reached, m, b)
-            a = np.where(active & ~reached, m + 1, a)
+        # Smallest knot a with row(a) >= min(p, last), by a search of fixed
+        # rounds (rows are non-decreasing).  For first < p < last it gives
+        # row(a - 1) < p <= row(a); the end rules replace every other value.
+        target = np.where(P >= last, last, P)
+        a = np.zeros(P.shape, dtype=int)
+        width = xk.size
+        while width > 1:
+            half = width // 2
+            a = np.where(row(a + half) < target, a + half, a)
+            width -= half
+        a += row(a) < target
         j = np.maximum(a, 1)
         r0, r1 = row(j - 1), row(j)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (p - r0) / (r1 - r0)
-        out = np.where(r1 == r0, xk[j - 1], xk[j - 1] + t * (xk[j] - xk[j - 1]))
-        out = np.where(p >= last, xk[a], out)
-        out = np.where(p <= first, xk[0], out)
-        out[np.isnan(p)] = np.nan
-        return out.reshape(P.shape)
+            t = (P - r0) / (r1 - r0)
+        out = np.where(P >= last, xk[a], xk[j - 1] + t * (xk[j] - xk[j - 1]))
+        return np.where(P <= first, xk[0], out)
 
 
 class ConstantFamily(_ArrayFamily):

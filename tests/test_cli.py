@@ -511,7 +511,9 @@ class TestTableCommand:
         assert out.read_text().startswith("n,0.2")
 
     def test_bad_inputs(self, runner):
-        assert runner.invoke(main, ["table", "--n-max", "0"]).exit_code == 2
+        res = runner.invoke(main, ["table", "--n-max", "0"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--n-max': 0 is not in the range x>=1." in res.stderr
         assert runner.invoke(
             main, ["table", "--n-max", "3", "--alpha", "2"]
         ).exit_code == 2
@@ -799,6 +801,7 @@ class TestCurveCommand:
         res = runner.invoke(main, ["curve", str(data), "--family",
                                    "normal-location:sigma=1", "--grid", "-1"])
         assert res.exit_code == 2
+        assert "Invalid value for '--grid': -1 is not in the range x>=0." in res.stderr
 
 
 @pytest.mark.parametrize("command", ["table", "curve"])
