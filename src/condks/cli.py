@@ -95,22 +95,15 @@ def _read_pairs_by_line(path: str) -> np.ndarray:
     return np.frombuffer(flat).reshape(-1, 2)
 
 
-def _read_input(path: str, family_spec: str, kind: str):
-    """The pairs in ``path`` and the spec's family, ready for the
-    conditional path: --kind classic needs a pinned zeta, which replaces
-    the zeta column; --kind conditional refuses one."""
+def _read_input(path: str, family_spec: str):
+    """The pairs in ``path``, the spec's family and the test kind: a
+    pinned zeta replaces the zeta column and makes the test classic."""
     pairs = _read_pairs(path)
     family, pinned = parse_family_spec(family_spec)
-    if kind == "classic":
-        if pinned is None:
-            raise ValueError(
-                "classic kind needs a fixed conditioning value, add "
-                "zeta=... to the family spec"
-            )
-        pairs[:, 1] = pinned
-    elif pinned is not None:
-        raise ValueError("zeta= pinning only applies to --kind classic")
-    return pairs, family
+    if pinned is None:
+        return pairs, family, "conditional"
+    pairs[:, 1] = pinned
+    return pairs, family, "classic"
 
 
 @click.group(cls=_Main)
@@ -121,16 +114,14 @@ def main() -> None:
 @main.command("test")
 @click.argument("data", type=click.Path(exists=True, dir_okay=False))
 @click.option("--family", "family_spec", required=True,
-              help="Family spec, e.g. 'normal-location:sigma=1'.")
-@click.option("--kind", type=click.Choice(["conditional", "classic"]),
-              default="conditional", show_default=True,
-              help="classic ignores the zeta column and needs zeta= in the spec.")
+              help="Family spec, e.g. 'normal-location:sigma=1'; zeta=... runs "
+                   "the classic test.")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--mode", type=click.Choice(["exact", "asymptotic", "auto"]),
               default="auto", show_default=True)
-def cmd_test(data: str, family_spec: str, kind: str, alpha: float, mode: str) -> None:
+def cmd_test(data: str, family_spec: str, alpha: float, mode: str) -> None:
     """Run a KS test on the pairs in DATA and print a JSON report."""
-    pairs, family = _read_input(data, family_spec, kind)
+    pairs, family, kind = _read_input(data, family_spec)
     report = replace(conditional_ks_test(pairs, family, alpha=alpha, mode=mode),
                      test_kind=kind)
     click.echo(report.to_json())
@@ -219,15 +210,12 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
 @main.command("curve")
 @click.argument("data", type=click.Path(exists=True, dir_okay=False))
 @click.option("--family", "family_spec", required=True)
-@click.option("--kind", type=click.Choice(["conditional", "classic"]),
-              default="conditional", show_default=True)
 @click.option("--grid", "grid_size", type=click.IntRange(min=0), default=100,
               show_default=True,
               help="Extra evenly spaced evaluation points; 0 for jumps only.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the CSV here instead of stdout.")
-def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
-              out: str | None) -> None:
+def cmd_curve(data: str, family_spec: str, grid_size: int, out: str | None) -> None:
     """Emit the transformed-sample ECDF against its uniform reference.
 
     Columns are x,empirical,reference.  Each jump contributes its
@@ -235,7 +223,7 @@ def cmd_curve(data: str, family_spec: str, kind: str, grid_size: int,
     across rows equals the KS statistic exactly; nothing is plotted
     here, the CSV is meant for external tooling.
     """
-    pairs, family = _read_input(data, family_spec, kind)
+    pairs, family, _ = _read_input(data, family_spec)
     ys = pit_transform(pairs, family).values
     n = ys.size
     if grid_size == 1:

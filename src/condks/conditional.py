@@ -267,10 +267,10 @@ def csv_records(path, header: tuple[str, ...]):
 
 def _bracket(grid: np.ndarray, v: np.ndarray):
     """Cell of each v on a grid, clamped at both ends: j, for rows j - 1
-    and j, and the weight of row j.  A one-point grid gives j = 0 and
-    weight 0, so both rows are its one row."""
+    and j, and the weight of row j, NaN for a NaN v on every grid.  A
+    one-point grid gives j = 0 and weight 0, so both rows are its one row."""
     if grid.size == 1:
-        return np.zeros(v.shape, dtype=int), np.zeros(v.shape)
+        return np.zeros(v.shape, dtype=int), np.where(np.isnan(v), np.nan, 0.0)
     j = np.clip(np.searchsorted(grid, v, side="left"), 1, grid.size - 1)
     return j, np.clip((v - grid[j - 1]) / (grid[j] - grid[j - 1]), 0.0, 1.0)
 
@@ -283,7 +283,7 @@ class TabulatedFamily(_ArrayFamily):
     at construction.  The quantile inverts the row interpolated at zeta:
     p at or below its first entry gives the first knot, p at or above its
     maximum the smallest knot reaching that maximum, p on a flat segment
-    the segment's left knot, and NaN gives NaN.
+    the segment's left knot.  A NaN x, p or zeta gives NaN on every grid.
     """
 
     name = "tabulated"

@@ -91,24 +91,35 @@ class TestTestCommand:
         xi = NormalLocation(sigma=1.0).quantile(rng.random(120), np.full(120, 0.5))
         data = tmp_path / "c.csv"
         data.write_text("xi,zeta\n" + "\n".join(f"{float(x)!r},99" for x in xi) + "\n")
-        res = runner.invoke(main, ["test", str(data), "--kind", "classic",
+        res = runner.invoke(main, ["test", str(data),
                                    "--family", "normal-location:sigma=1,zeta=0.5"])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["test_kind"] == "classic"
 
-    def test_classic_requires_pin(self, runner, tmp_path):
+    def test_kind_option_is_unknown(self, runner, tmp_path):
+        # The family spec decides the kind; the old flag is a usage error.
         data = tmp_path / "d.csv"
         write_null_csv(data, n=5)
-        res = runner.invoke(main, ["test", str(data), "--kind", "classic",
-                                   "--family", "normal-location:sigma=1"])
-        assert res.exit_code == 2
+        for command in ("test", "curve"):
+            res = runner.invoke(main, [command, str(data), "--kind", "classic",
+                                       "--family", "normal-location:sigma=1,zeta=0"])
+            assert res.exit_code == 2
+            assert "No such option" in res.stderr and "--kind" in res.stderr
 
-    def test_conditional_rejects_pin(self, runner, tmp_path):
+    def test_pinned_spec_is_classic_on_the_pinned_column(self, runner, tmp_path):
         data = tmp_path / "d.csv"
-        write_null_csv(data, n=5)
-        res = runner.invoke(main, ["test", str(data), "--family",
-                                   "normal-location:sigma=1,zeta=0"])
-        assert res.exit_code == 2
+        write_null_csv(data, n=50)
+        pinned = tmp_path / "pinned.csv"
+        rows = data.read_text().splitlines()
+        pinned.write_text("\n".join([rows[0]] + [r.split(",")[0] + ",0.25"
+                                                 for r in rows[1:]]) + "\n")
+        got = runner.invoke(main, ["test", str(data), "--family",
+                                   "normal-location:sigma=1,zeta=0.25"])
+        want = runner.invoke(main, ["test", str(pinned), "--family",
+                                    "normal-location:sigma=1"])
+        assert got.exit_code == want.exit_code == 0, got.output
+        assert '"test_kind": "conditional"' in want.output
+        assert got.output == want.output.replace('"conditional"', '"classic"')
 
     def test_missing_file(self, runner):
         res = runner.invoke(main, ["test", "nope.csv", "--family",
@@ -146,7 +157,7 @@ class TestTestCommand:
     def test_bad_pinned_zeta_named_without_an_index(self, runner, tmp_path, pin, reason):
         data = tmp_path / "d.csv"
         data.write_text("xi,zeta\n0.5,1\n")
-        res = runner.invoke(main, ["test", str(data), "--kind", "classic",
+        res = runner.invoke(main, ["test", str(data),
                                    "--family", f"exponential-rate:zeta={pin}"])
         assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {reason}\n")
 
@@ -180,7 +191,7 @@ class TestTestCommand:
         data = tmp_path / "layout.csv"
         data.write_bytes(body)
         for args in (["--family", "normal-location:sigma=1"],
-                     ["--kind", "classic", "--family", "normal-location:sigma=1,zeta=0"]):
+                     ["--family", "normal-location:sigma=1,zeta=0"]):
             want = runner.invoke(main, ["test", str(plain), *args])
             got = runner.invoke(main, ["test", str(data), *args])
             assert want.exit_code == 0, want.output
@@ -741,7 +752,7 @@ class TestCurveCommand:
     def test_classic_kind(self, runner, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("xi,zeta\n0.5,9\n0.1,9\n")
-        res = runner.invoke(main, ["curve", str(data), "--kind", "classic",
+        res = runner.invoke(main, ["curve", str(data),
                                    "--family", "uniform-width:zeta=0", "--grid", "0"])
         assert res.exit_code == 0
         assert len(res.output.strip().splitlines()) == 5
@@ -768,7 +779,7 @@ class TestCurveCommand:
         data.write_text("xi,zeta\n" + "".join(f"{x},{z}\n" for x, z in pairs))
         shift = (lambda z: z) if kind == "conditional" else (lambda z: 0.0)
         ys = [min(max(x - shift(z), 0.0), 1.0) for x, z in pairs]
-        res = runner.invoke(main, ["curve", str(data), "--kind", kind,
+        res = runner.invoke(main, ["curve", str(data),
                                    "--family", family, "--grid", "5"])
         assert res.exit_code == 0, res.output
         assert res.output == curve_text_reference(ys, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -790,7 +801,7 @@ class TestCurveCommand:
         ys = [min(max(x, 0.0), 1.0) for x in xs.tolist()]
         grid = ([0.5] if grid_size == 1 else
                 [j / (grid_size - 1) for j in range(grid_size)] if grid_size else [])
-        res = runner.invoke(main, ["curve", str(data), "--kind", kind,
+        res = runner.invoke(main, ["curve", str(data),
                                    "--family", family, "--grid", str(grid_size)])
         assert res.exit_code == 0, res.output
         assert res.output == curve_text_reference(ys, grid)
@@ -866,7 +877,7 @@ def write_normal_table(path):
 
 
 class TestClassicKindMatchesScalarCdf:
-    """--kind classic maps every xi through the pinned cdf in one array
+    """A spec with zeta= maps every xi through the pinned cdf in one array
     call; its output must equal one scalar cdf call per value."""
 
     FAMILIES = ["normal-location:sigma=2,zeta=0.5", "exponential-rate:zeta=1.5",
@@ -892,7 +903,7 @@ class TestClassicKindMatchesScalarCdf:
         data, spec, ys = case
         statistic = ks_statistic_uniform(ys)
         p = p_value(statistic, len(ys), "exact")
-        res = runner.invoke(main, ["test", str(data), "--kind", "classic",
+        res = runner.invoke(main, ["test", str(data),
                                    "--family", spec, "--mode", "exact"])
         assert res.output == json.dumps({
             "test_kind": "classic", "n": len(ys), "statistic": statistic,
@@ -903,7 +914,7 @@ class TestClassicKindMatchesScalarCdf:
     @pytest.mark.parametrize("case", FAMILIES, indirect=True, ids=FAMILY_IDS)
     def test_curve_rows(self, runner, case):
         data, spec, ys = case
-        res = runner.invoke(main, ["curve", str(data), "--kind", "classic",
+        res = runner.invoke(main, ["curve", str(data),
                                    "--family", spec, "--grid", "5"])
         assert res.exit_code == 0, res.output
         assert res.output == curve_text_reference(ys, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -424,9 +424,10 @@ class TestPitTransform:
 
 def bracket_one_reference(grid: np.ndarray, v: float) -> tuple[int, int, float]:
     """The grid cell of one value, clamped at both ends: its two rows and
-    the weight of the upper one (a one-point grid: row 0 twice, weight 0)."""
+    the weight of the upper one (a one-point grid: row 0 twice, weight 0).
+    A NaN value gets weight NaN on every grid."""
     if grid.size == 1:
-        return 0, 0, 0.0
+        return 0, 0, math.nan if math.isnan(v) else 0.0
     hi = min(max(int(np.searchsorted(grid, v, side="left")), 1), grid.size - 1)
     w = (v - grid[hi - 1]) / (grid[hi] - grid[hi - 1])
     return hi - 1, hi, float(np.clip(w, 0.0, 1.0))
@@ -563,6 +564,21 @@ class TestTabulatedFamily:
         # NaN stays NaN, even where the search ends on a flat segment
         assert math.isnan(fam.quantile(float("nan"), 0.0))
 
+    @pytest.mark.parametrize("nz", [1, 2, 61])
+    def test_nan_zeta_gives_nan_on_every_grid(self, nz):
+        tab = make_tabulated(nz, 41)
+        nan = float("nan")
+        for value in (tab.cdf(0.5, nan), tab.quantile(0.5, nan),
+                      tab.quantile(0.0, nan), tab.quantile(1.0, nan)):
+            assert type(value) is float and math.isnan(value)
+        # Only the NaN's own position is NaN; an infinite zeta still clamps.
+        zeta = np.array([0.5, nan, -np.inf, np.inf])
+        for method, arg in ((tab.cdf, 0.5), (tab.quantile, 0.3)):
+            got = method(np.full(4, arg), zeta)
+            assert np.isnan(got).tolist() == [False, True, False, False]
+            assert got[2] == method(arg, tab.zeta_grid[0])
+            assert got[3] == method(arg, tab.zeta_grid[-1])
+
     def test_clamps_outside_grids(self):
         tab = make_tabulated()
         assert tab.cdf(-100.0, 0.0) == tab.cdf(tab.x_knots[0], 0.0)
@@ -605,7 +621,11 @@ class TestTabulatedFamily:
                 lines.append(f"{z},{x},{cv[i][j]}")
         path.write_text("\n".join(lines) + "\n")
         loaded = TabulatedFamily.from_csv(path)
-        assert loaded == TabulatedFamily(zg, xk, cv)
+        built = TabulatedFamily(zg, xk, cv)
+        assert loaded == built
+        assert hash(loaded) == hash(built)
+        assert len({loaded, built}) == 1
+        assert built != object() and built != (zg, xk, cv)
 
     def test_shuffled_rows_load_like_sorted_rows(self, tmp_path):
         # Row order is free: each point lands in its cell whatever its line.

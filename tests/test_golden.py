@@ -49,7 +49,6 @@ CURVE_GRID7_SHA256 = {
     UNPINNED: "c25e23e1a23280bdbe1cc163123d242f4979723c49aa3aa1ba857220c83feaa8",
     PINNED: "e8251f9dfa77df1eacf437ad3b9a2279ab0cc96ef88430d8c598d021350992ef",
 }
-KIND_ARGS = {UNPINNED: [], PINNED: ["--kind", "classic"]}
 
 
 def sha256(data: bytes) -> str:
@@ -93,8 +92,7 @@ def test_table_n200_stdout(runner):
 
 @pytest.mark.parametrize("spec", [UNPINNED, PINNED], ids=["unpinned", "pinned"])
 def test_test_report_line(runner, pairs_file, spec):
-    res = runner.invoke(main, ["test", str(pairs_file), "--family", spec,
-                               *KIND_ARGS[spec]])
+    res = runner.invoke(main, ["test", str(pairs_file), "--family", spec])
     assert (res.exit_code, res.stdout) == (TEST_REPORTS[spec][0],
                                            TEST_REPORTS[spec][1] + "\n")
 
@@ -102,6 +100,6 @@ def test_test_report_line(runner, pairs_file, spec):
 @pytest.mark.parametrize("spec", [UNPINNED, PINNED], ids=["unpinned", "pinned"])
 def test_curve_grid7_stdout(runner, pairs_file, spec):
     res = runner.invoke(main, ["curve", str(pairs_file), "--family", spec,
-                               *KIND_ARGS[spec], "--grid", "7"])
+                               "--grid", "7"])
     assert res.exit_code == 0, res.output
     assert sha256(res.stdout_bytes) == CURVE_GRID7_SHA256[spec]
