@@ -97,9 +97,10 @@ def _read_pairs_by_line(path: str) -> np.ndarray:
 
 def _read_input(path: str, family_spec: str):
     """The pairs in ``path``, the spec's family and the test kind: a
-    pinned zeta replaces the zeta column and makes the test classic."""
-    pairs = _read_pairs(path)
+    pinned zeta replaces the zeta column and makes the test classic.  The
+    spec is parsed first, so a bad one is named before the file is read."""
     family, pinned = parse_family_spec(family_spec)
+    pairs = _read_pairs(path)
     if pinned is None:
         return pairs, family, "conditional"
     pairs[:, 1] = pinned

@@ -29,6 +29,7 @@ from .empirical import SortedUnitSample
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LIBM_CHUNK = 8192  # values; one replicate block (monte_carlo.BLOCK_VALUES) fits
 
 # Acklam's rational approximation to the standard normal quantile.
 _A = (-3.969683028665376e+01,  2.209460984245205e+02, -2.759285104469687e+02,
@@ -53,8 +54,15 @@ def _libm(fn, a: np.ndarray) -> np.ndarray:
     # ``math`` functions go through it on purpose: numpy's SIMD exp/log
     # need not round like libm, and the replicate statistics of a seed are
     # frozen to the bit.  ConstantFamily's callables go through it because
-    # they take one float.
-    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+    # they take one float.  It holds the output array and the Python floats
+    # (32 bytes a value) of one chunk of _LIBM_CHUNK values, not of all.
+    flat = a.ravel()
+    if flat.size <= _LIBM_CHUNK:
+        return np.fromiter(map(fn, flat.tolist()), float, flat.size).reshape(a.shape)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _LIBM_CHUNK):
+        out[start:start + _LIBM_CHUNK] = _libm(fn, flat[start:start + _LIBM_CHUNK])
+    return out.reshape(a.shape)
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:

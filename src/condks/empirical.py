@@ -54,8 +54,12 @@ def ks_statistic_uniform(sample: SortedUnitSample | Iterable[float]) -> float:
 
 def ks_statistic_rows(u: np.ndarray) -> np.ndarray:
     """``ks_statistic_uniform`` of each row of an array whose rows are
-    sorted samples in [0, 1] (unchecked); a 1-d array gives a 0-d result."""
+    sorted samples in [0, 1] (unchecked); a 1-d array gives a 0-d result.
+    It holds the n + 1 steps k/n and one buffer the size of ``u``, reused
+    for i/n - u_(i) and u_(i) - (i - 1)/n."""
     n = u.shape[-1]
-    i = np.arange(1, n + 1)
-    return np.maximum((i / n - u).max(axis=-1), (u - (i - 1) / n).max(axis=-1))
+    steps = np.arange(0.0, n + 1.0) / n
+    gap = np.subtract(steps[1:], u)
+    above = gap.max(axis=-1)
+    return np.maximum(above, np.subtract(u, steps[:-1], out=gap).max(axis=-1))
 

@@ -84,6 +84,14 @@ def _pop(params: dict[str, str], key: str, spec: str,
     raise ValueError(f"spec {spec!r}: {key}={raw!r} is not {wording}")
 
 
+def _build(spec: str, make, *args):
+    """``make(*args)``, with a ValueError it raises worded with ``spec``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"spec {spec!r}: {exc}") from None
+
+
 def _reject_extras(params: dict[str, str], spec: str) -> None:
     if params:
         key = next(iter(params))
@@ -100,7 +108,7 @@ def parse_family_spec(text: str, base_dir: str | None = None
     family: ConditionalCdfFamily
     if name == "normal-location":
         sigma = _pop(params, "sigma", text) if "sigma" in params else 1.0
-        family = NormalLocation(sigma=sigma)
+        family = _build(text, NormalLocation, sigma)
     elif name == "exponential-rate":
         family = ExponentialRate()
     elif name == "uniform-width":
@@ -121,11 +129,10 @@ def parse_family_spec(text: str, base_dir: str | None = None
 def parse_sampler_spec(text: str) -> ZetaSampler:
     name, params = _split_spec(text, "sampler")
     if name == "uniform":
-        a = _pop(params, "a", text)
-        b = _pop(params, "b", text)
-        sampler: ZetaSampler = UniformSampler(a=a, b=b)
+        sampler: ZetaSampler = _build(text, UniformSampler, _pop(params, "a", text),
+                                      _pop(params, "b", text))
     elif name == "point-mass":
-        sampler = PointMassSampler(c=_pop(params, "c", text))
+        sampler = _build(text, PointMassSampler, _pop(params, "c", text))
     elif name == "gaussian-mixture":
         weights, means, sds = (
             _pop(params, key, text, lambda raw: [float(v) for v in raw.split("|")],
@@ -136,9 +143,7 @@ def parse_sampler_spec(text: str) -> ZetaSampler:
             raise ValueError(
                 f"spec {text!r}: weights, means and sds must have equal length"
             )
-        sampler = GaussianMixtureSampler(
-            components=tuple(zip(weights, means, sds))
-        )
+        sampler = _build(text, GaussianMixtureSampler, tuple(zip(weights, means, sds)))
     else:
         raise ValueError(f"unknown sampler {name!r} in spec {text!r}")
     _reject_extras(params, text)

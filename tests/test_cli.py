@@ -169,6 +169,23 @@ class TestTestCommand:
         assert (res.exit_code, res.stdout, res.stderr) == (
             2, "", "error: spec 'tabulated:path=': path='' is not a file path\n")
 
+    def test_constructor_refusal_names_the_spec(self, runner, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("xi,zeta\n0.5,1\n")
+        res = runner.invoke(main, ["test", str(data), "--family",
+                                   "normal-location:sigma=-1"])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: spec 'normal-location:sigma=-1': "
+                   "sigma must be positive and finite, got -1.0\n")
+
+    @pytest.mark.parametrize("command", ["test", "curve"])
+    def test_spec_is_parsed_before_the_file(self, runner, tmp_path, command):
+        data = tmp_path / "bad.csv"
+        data.write_text("xi,zeta\n1,2\n1,oops\n")
+        res = runner.invoke(main, [command, str(data), "--family", "bogus"])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: unknown family 'bogus' in spec 'bogus'\n")
+
     def test_crlf_input_accepted(self, runner, tmp_path):
         data = tmp_path / "crlf.csv"
         data.write_bytes(b"xi,zeta\r\n0,0\r\n1,1\r\n")
@@ -648,6 +665,15 @@ class TestSimulateCommand:
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert (res.exit_code, res.stdout, res.stderr) == (
             2, "", "error: spec 'tabulated:path=': path='' is not a file path\n")
+        assert not out.exists()
+
+    def test_sampler_refusal_names_the_spec(self, runner, tmp_path):
+        cfg = tmp_path / "scen.cfg"
+        write_scenario(cfg, CALIBRATION_CFG.replace("uniform:a=0,b=1", "uniform:a=1,b=0"))
+        out = tmp_path / "results"
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: spec 'uniform:a=1,b=0': need finite a < b, got a=1.0, b=0.0\n")
         assert not out.exists()
 
     def test_negative_seed_is_named(self, runner, tmp_path):

@@ -102,6 +102,27 @@ class TestSamplerSpecs:
             parse_sampler_spec("gaussian-mixture:weights=1,means=0")
 
 
+class TestConstructorRefusalsNameTheSpec:
+    @pytest.mark.parametrize("parse, spec, message", [
+        (parse_family_spec, "normal-location:sigma=-1",
+         "sigma must be positive and finite, got -1.0"),
+        (parse_sampler_spec, "uniform:a=1,b=0", "need finite a < b, got a=1.0, b=0.0"),
+        (parse_sampler_spec, "point-mass:c=inf", "need finite c, got inf"),
+        (parse_sampler_spec, "gaussian-mixture:weights=0.5|0.5,means=0|1,sds=1|-2",
+         "mixture sd -2.0 must be positive"),
+    ], ids=["normal-location", "uniform", "point-mass", "gaussian-mixture"])
+    def test_message_is_prefixed_with_the_spec(self, parse, spec, message):
+        with pytest.raises(ValueError) as info:
+            parse(spec)
+        assert str(info.value) == f"spec {spec!r}: {message}"
+
+    def test_table_errors_keep_their_file_and_line(self, tmp_path):
+        (tmp_path / "t.csv").write_text("zeta,x,cdf\n0,0,0\n0,1,0.5\n0,1,1\n")
+        with pytest.raises(ValueError) as info:
+            parse_family_spec("tabulated:path=t.csv", base_dir=str(tmp_path))
+        assert str(info.value).startswith(f"{tmp_path / 't.csv'}: line 4: duplicate point")
+
+
 class TestScenarioFiles:
     def test_full_round_trip(self, tmp_path):
         cfg = tmp_path / "scen.cfg"
