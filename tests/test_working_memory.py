@@ -36,7 +36,7 @@ def traced_peak(fn) -> int:
 
 
 def ks_statistic_rows_reference(u: np.ndarray) -> np.ndarray:
-    """The statistic's formula with int64 indices, as first written."""
+    """The statistic with an int64 index, the reference for the one-buffer version."""
     n = u.shape[-1]
     i = np.arange(1, n + 1)
     return np.maximum((i / n - u).max(axis=-1), (u - (i - 1) / n).max(axis=-1))
