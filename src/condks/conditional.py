@@ -29,7 +29,7 @@ from .empirical import SortedUnitSample
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LIBM_CHUNK = 8192  # values; one replicate block (monte_carlo.BLOCK_VALUES) fits
+_LIBM_CHUNK = 8192  # values
 
 # Acklam's rational approximation to the standard normal quantile.
 _A = (-3.969683028665376e+01,  2.209460984245205e+02, -2.759285104469687e+02,
@@ -57,11 +57,10 @@ def _libm(fn, a: np.ndarray) -> np.ndarray:
     # they take one float.  It holds the output array and the Python floats
     # (32 bytes a value) of one chunk of _LIBM_CHUNK values, not of all.
     flat = a.ravel()
-    if flat.size <= _LIBM_CHUNK:
-        return np.fromiter(map(fn, flat.tolist()), float, flat.size).reshape(a.shape)
     out = np.empty(flat.size)
     for start in range(0, flat.size, _LIBM_CHUNK):
-        out[start:start + _LIBM_CHUNK] = _libm(fn, flat[start:start + _LIBM_CHUNK])
+        chunk = flat[start:start + _LIBM_CHUNK]
+        out[start:start + chunk.size] = np.fromiter(map(fn, chunk.tolist()), float, chunk.size)
     return out.reshape(a.shape)
 
 
@@ -142,11 +141,12 @@ class ConditionalCdfFamily(ABC):
     def validate_zetas(self, zetas) -> None:
         """Raise ValueError naming the first invalid zeta and its index
         (the flat, C-order index for an array of more than one dimension)."""
-        arr = np.asarray(zetas, dtype=float).ravel()
-        bad = np.flatnonzero(~(np.isfinite(arr) & (arr > self.zeta_lower)))
-        if bad.size:
-            idx = int(bad[0])
-            z = float(arr[idx])
+        arr = np.asarray(zetas, dtype=float)
+        ok = np.isfinite(arr)
+        ok &= arr > self.zeta_lower
+        if not ok.all():
+            idx = int(np.argmin(ok))  # the first False, in flat C order
+            z = float(arr.flat[idx])
             raise ValueError(
                 f"zeta={z} at index {idx} invalid for family "
                 f"'{self.name}': {self.zeta_error(z)}"
@@ -429,14 +429,15 @@ def _sorted_pit(xi: np.ndarray, zeta: np.ndarray,
     """
     family.validate_zetas(zeta)
     y = np.asarray(family.cdf(xi, zeta), dtype=float)
-    inside = (y >= 0.0) & (y <= 1.0)
-    if not inside.all():
-        idx = int(np.flatnonzero(~inside)[0])
+    s = np.sort(y, axis=-1)  # a copy: a user cdf may return a view of its input
+    # NaN sorts last, so the ends of each sorted row catch every bad value.
+    if not ((s[..., 0] >= 0.0).all() and (s[..., -1] <= 1.0).all()):
+        idx = int(np.argmin((y >= 0.0) & (y <= 1.0)))
         raise ValueError(
             f"cdf value {float(y.flat[idx])} at index {idx} from family "
             f"'{family.name}' is outside [0, 1]"
         )
-    return np.sort(y, axis=-1)
+    return s
 
 
 def pit_transform(pairs: Iterable, family: ConditionalCdfFamily) -> SortedUnitSample:

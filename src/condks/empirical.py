@@ -20,7 +20,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SortedUnitSample:
-    """Non-empty sorted array of values in [0, 1]."""
+    """Non-empty sorted array of values in [0, 1], checked in one pass:
+    ascending neighbours bound every value by the two ends, and a NaN fails
+    a neighbour comparison, or both end comparisons when it is alone."""
 
     values: np.ndarray
 
@@ -28,12 +30,8 @@ class SortedUnitSample:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a non-empty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sample values must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("sample values must lie in [0, 1]")
-        if np.any(np.diff(arr) < 0.0):
-            raise ValueError("sample values must be sorted ascending")
+        if not (arr[0] >= 0.0 and arr[-1] <= 1.0 and (arr[:-1] <= arr[1:]).all()):
+            raise ValueError("sample values must be sorted ascending in [0, 1]")
         object.__setattr__(self, "values", arr)
 
     @property

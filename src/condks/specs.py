@@ -150,22 +150,15 @@ def parse_sampler_spec(text: str) -> ZetaSampler:
     return sampler
 
 
-def _pop_int(values: dict[str, str], key: str) -> int:
-    raw = values.pop(key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"scenario key {key!r}: {raw!r} is not an integer") from None
-
-
 def load_scenario(path) -> Scenario:
     """Read a scenario config file.
 
     Relative ``tabulated:path=`` entries resolve against the scenario
-    file's own directory.
+    file's own directory.  A value that does not parse is a ValueError
+    naming the file, the line and the key.
     """
     base_dir = os.path.dirname(os.path.abspath(path))
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}
     with utf8_errors(path), open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
@@ -180,27 +173,33 @@ def load_scenario(path) -> Scenario:
                 raise ValueError(f"{path}: line {lineno}: unknown scenario key {key!r}")
             if key in values:
                 raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
-            values[key] = value
+            values[key] = lineno, value
     missing = _REQUIRED_SCENARIO_KEYS - values.keys()
     if missing:
         raise ValueError(f"{path}: missing scenario key {sorted(missing)[0]!r}")
 
-    def load_family(key: str) -> ConditionalCdfFamily:
-        family, pinned = parse_family_spec(values.pop(key), base_dir=base_dir)
+    def read(key: str, parse=int):
+        lineno, value = values[key]
+        try:
+            return parse(value)
+        except ValueError as exc:
+            if parse is int:
+                exc = f"{value!r} is not an integer"
+            raise ValueError(f"{path}: line {lineno}: scenario key {key!r}: {exc}") from None
+
+    def load_family(text: str) -> ConditionalCdfFamily:
+        family, pinned = parse_family_spec(text, base_dir=base_dir)
         if pinned is not None:
-            raise ValueError(
-                f"scenario key {key!r}: a pinned zeta has no meaning here, "
-                f"use a point-mass sampler instead"
-            )
+            raise ValueError("a pinned zeta has no meaning here, use a point-mass sampler instead")
         return family
 
-    null_family = load_family("null_family")
-    data_family = load_family("data_family") if "data_family" in values else None
+    null_family = read("null_family", load_family)
+    data_family = read("data_family", load_family) if "data_family" in values else None
     return Scenario(
-        zeta_sampler=parse_sampler_spec(values.pop("zeta_sampler")),
+        zeta_sampler=read("zeta_sampler", parse_sampler_spec),
         null_family=null_family,
         data_family=data_family,
-        n=_pop_int(values, "n"),
-        replicates=_pop_int(values, "replicates"),
-        seed=_pop_int(values, "seed"),
+        n=read("n"),
+        replicates=read("replicates"),
+        seed=read("seed"),
     )

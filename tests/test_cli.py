@@ -664,7 +664,8 @@ class TestSimulateCommand:
         out = tmp_path / "results"
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert (res.exit_code, res.stdout, res.stderr) == (
-            2, "", "error: spec 'tabulated:path=': path='' is not a file path\n")
+            2, "", f"error: {cfg}: line 2: scenario key 'null_family': "
+                   "spec 'tabulated:path=': path='' is not a file path\n")
         assert not out.exists()
 
     def test_sampler_refusal_names_the_spec(self, runner, tmp_path):
@@ -673,7 +674,8 @@ class TestSimulateCommand:
         out = tmp_path / "results"
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert (res.exit_code, res.stdout, res.stderr) == (
-            2, "", "error: spec 'uniform:a=1,b=0': need finite a < b, got a=1.0, b=0.0\n")
+            2, "", f"error: {cfg}: line 1: scenario key 'zeta_sampler': "
+                   "spec 'uniform:a=1,b=0': need finite a < b, got a=1.0, b=0.0\n")
         assert not out.exists()
 
     def test_negative_seed_is_named(self, runner, tmp_path):
@@ -720,7 +722,8 @@ class TestTabulatedGridErrors:
         out = tmp_path / "results"
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert (res.exit_code, res.stdout) == (2, "")
-        assert res.stderr == (f"error: {tmp_path / 'grid.csv'}: line 3: "
+        assert res.stderr == (f"error: {cfg}: line 2: scenario key 'null_family': "
+                              f"{tmp_path / 'grid.csv'}: line 3: "
                               "field larger than field limit (131072)\n")
         assert not out.exists()
 

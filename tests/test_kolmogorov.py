@@ -413,6 +413,15 @@ class TestCriticalValue:
         with pytest.raises(ValueError):
             critical_value(0, 0.05)
 
+    @pytest.mark.parametrize("n, alpha", [(20, 1e-16), (21, 1e-15), (38, 1e-15)])
+    def test_search_above_a_dkw_point_that_falls_short(self, n, alpha):
+        # Rounding leaves the computed cdf at the DKW point below 1 - alpha
+        # here (0.9999999999999994 at n = 20), so the search runs above it.
+        dkw = min(1.0, math.sqrt(math.log(2.0 / alpha) / (2.0 * n)))
+        assert exact_cdf(n, dkw) < 1.0 - alpha
+        c = critical_value(n, alpha)
+        assert exact_cdf(n, c) >= 1.0 - alpha > exact_cdf(n, c - 1e-10)
+
     @pytest.mark.parametrize("alpha", [1e-17, 5e-17, 1e-300])
     def test_alpha_below_double_resolution_rejected(self, alpha):
         # 1 - alpha == 1.0: the search returned 1.0 for n = 10 (true

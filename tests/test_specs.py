@@ -229,7 +229,7 @@ class TestScenarioFiles:
         )
         with pytest.raises(ValueError) as caught:
             load_scenario(cfg)
-        assert str(caught.value) == "scenario key 'n': '5# note' is not an integer"
+        assert str(caught.value) == f"{cfg}: line 3: scenario key 'n': '5# note' is not an integer"
 
     def test_pinned_zeta_rejected_in_scenario(self, tmp_path):
         cfg = tmp_path / "scen.cfg"

@@ -1,7 +1,8 @@
 """Working memory of the transform and the statistic, and the bits they keep.
 
 ``conditional._libm`` maps its scalar function over fixed chunks of the
-array, and ``ks_statistic_rows`` reuses one buffer for both differences.
+array, ``ks_statistic_rows`` reuses one buffer for both differences, and
+the checks on the sample and on the zetas make one boolean pass each.
 numpy reports its array allocations to tracemalloc, so the peaks below
 count every float array a call makes.
 """
@@ -15,6 +16,7 @@ import pytest
 from condks import (
     ConstantFamily,
     NormalLocation,
+    SortedUnitSample,
     ks_statistic_uniform,
     pit_transform,
 )
@@ -63,6 +65,17 @@ class TestWorkingMemory:
         family = NormalLocation(sigma=1.0)
         peak = traced_peak(lambda: ks_statistic_uniform(pit_transform(pairs, family)))
         assert peak < 4 * ARRAY
+
+    def test_sorted_sample_check_holds_one_boolean_array(self):
+        # The finite, range and order checks made 0.90 MB of masks and diffs.
+        u = np.sort(np.random.default_rng(7).random(N))
+        assert traced_peak(lambda: SortedUnitSample(u)) <= 150_000
+
+    def test_zeta_check_does_not_copy_the_column(self):
+        # The strided column was copied, then masked four times: 1.10 MB.
+        pairs = np.random.default_rng(8).standard_normal((N, 2))
+        family = NormalLocation(sigma=1.0)
+        assert traced_peak(lambda: family.validate_zetas(pairs[:, 1])) <= 250_000
 
 
 SIZES = [0, 1, _LIBM_CHUNK - 1, _LIBM_CHUNK, _LIBM_CHUNK + 1, 3 * _LIBM_CHUNK + 5]
