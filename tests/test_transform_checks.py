@@ -77,10 +77,6 @@ class TestSortedUnitSampleAcceptSet:
         with pytest.raises(ValueError, match=r"^sample values must be sorted ascending in \[0, 1\]$"):
             SortedUnitSample(np.array(values))
 
-    def test_ties_signed_zero_and_endpoints_accepted(self):
-        for values in ([-0.0], [-0.0, 0.0], [0.0, -0.0, 0.5], [0.0, 0.0, 1.0, 1.0], [1.0]):
-            assert accepts(values) and reference_accepts(values), values
-
 
 ROWS, COLS = 4, 7
 POSITIONS = [(1, 0), (1, COLS // 2), (1, COLS - 1)]
