@@ -14,15 +14,17 @@ stays in double range for n up to about 1e4.
 
 An ``exact_cdf`` call runs at most 2 log2(n) m x m matrix products; the
 rest of its time is fixed Python and numpy work per call.  At n = 50
-(m = 23) the seven products take about 14 us of a 23 us call and
+(m = 23) the seven products take about 11 us of a 21 us call and
 building H about 6 us (2-vCPU Xeon VM, one BLAS thread); from n of a few
-hundred the products are most of it.  H's tables (n!, the band of 1/t!,
-the exponents of h) are built at import for every m < 171, the products
-go through ``np.dot``, and n!/n^n is one ``math.prod`` per chunk of its
-ratios i/n, with a rescaling loop only over a chunk that ends below
-1e-140.  The one thing kept between calls is those chunks for the last
-n, since a critical-value search or a run of p-values asks for the same
-n many times in a row.
+hundred the products are most of it.  H's tables (n!, a Toeplitz view of
+1/t!, the exponents of h) are built read-only at import for every
+m < 171.  The products are ``ndarray.dot`` calls: the same BLAS call as
+``np.dot`` without its Python ``__array_function__`` wrapper, which was
+0.4 us of a 1.5 us product at m = 23.  n!/n^n is one ``math.prod`` per
+chunk of its ratios i/n, with a rescaling loop only over a chunk that
+ends below 1e-140.  The one thing kept between calls is those chunks for
+the last n, since a critical-value search or a run of p-values asks for
+the same n many times in a row.
 """
 
 from __future__ import annotations
@@ -63,11 +65,13 @@ def _integer_at_least(value, lower: int, what: str) -> int:
     return number
 
 
-def _level(value, what: str):
-    """``value`` if it lies in (0, 1); otherwise a ValueError naming ``what``."""
+def _level(value, what: str) -> float:
+    """``value`` as a Python float if it lies in (0, 1); otherwise a
+    ValueError naming ``what``.  A float32 level would carry float32
+    arithmetic into the search and never narrow to its width."""
     if not 0.0 < value < 1.0:
         raise ValueError(f"{what} must lie in (0, 1), got {value}")
-    return value
+    return float(value)
 
 
 def asymptotic_cdf(x: float) -> float:
@@ -81,6 +85,7 @@ def asymptotic_cdf(x: float) -> float:
         if math.isnan(x):
             raise ValueError("x must not be NaN")
         return 0.0
+    x = float(x)
     total = 0.0
     sign = 1.0
     for k in itertools.count(1):
@@ -94,12 +99,20 @@ def asymptotic_cdf(x: float) -> float:
 
 
 def _tables(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What H of size m < ``size`` reads: n! for n < size (inf from 171!
-    on), the band (size - 2 zeros, then 1/t! at size - 2 + t) and the
-    exponents 1..size-1 of h."""
+    """What H of size m < ``size`` reads, all read-only: n! for n < size
+    (inf from 171! on), the Toeplitz body T[i, j] = 1/(i - j + 1)! of size
+    size - 1 (0 above the superdiagonal) and the exponents 1..size-1 of h.
+    T is a strided view over one band of size - 2 zeros, then 1/t! at
+    size - 2 + t: T[i, j] = band[size - 1 + i - j]."""
     with np.errstate(over="ignore"):
         fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, size))))
-    return fact, np.concatenate((np.zeros(size - 2), 1.0 / fact)), np.arange(1.0, size)
+    band = np.concatenate((np.zeros(size - 2), 1.0 / fact))
+    powers = np.arange(1.0, size)
+    for table in (fact, band, powers):
+        table.flags.writeable = False
+    step = band.itemsize
+    toeplitz = np.ndarray((size - 1, size - 1), float, band, (size - 1) * step, (step, -step))
+    return fact, toeplitz, powers
 
 
 _TABLES = _tables(171)  # every m < 171; a larger m builds its own
@@ -113,10 +126,8 @@ def _transition_matrix(k: int, h: float) -> np.ndarray:
     last row.
     """
     m = 2 * k - 1
-    fact, band, powers = _TABLES if m < 171 else _tables(m + 1)
-    # Toeplitz: H[i, j] = band[fact.size - 1 + i - j], which is 1/(i - j + 1)!.
-    step = band.itemsize
-    H = np.ndarray((m, m), float, band, (fact.size - 1) * step, (step, -step)).copy()
+    fact, toeplitz, powers = _TABLES if m < 171 else _tables(m + 1)
+    H = toeplitz[:m, :m].copy()
     hp = h ** powers[:m]
     last = hp[m - 1]
     corner = (1.0 - last) - last
@@ -143,6 +154,7 @@ def exact_cdf(n: int, d: float) -> float:
     n = _integer_at_least(n, 1, "sample size")
     if math.isnan(d):
         raise ValueError("d must not be NaN")
+    d = float(d)
     if d >= 1.0:
         return 1.0
     nd = n * d
@@ -156,7 +168,9 @@ def exact_cdf(n: int, d: float) -> float:
     H = _transition_matrix(k, h)
 
     # V = H^n by binary powering; eV tracks a separate power of ten.
-    # np.dot makes the same BLAS call as ``@`` at less dispatch cost.
+    # ndarray.dot makes the same BLAS call as np.dot and ``@`` with the
+    # least dispatch.  V takes P itself at the first set bit, so V is
+    # rescaled into a new array and P, never shared after it, in place.
     c = k - 1
     eV = 0
     eP = 0
@@ -165,18 +179,18 @@ def exact_cdf(n: int, d: float) -> float:
     g = n
     while g > 0:
         if g & 1:
-            V = P.copy() if V is None else np.dot(V, P)
+            V = P if V is None else V.dot(P)
             eV += eP
             v = V.item(c, c)
             if v > _RESCALE_HI:
-                V *= _RESCALE_LO
+                V = V * _RESCALE_LO
                 eV += 140
             elif 0.0 < v < _RESCALE_LO:
-                V *= _RESCALE_HI
+                V = V * _RESCALE_HI
                 eV -= 140
         g >>= 1
         if g:
-            P = np.dot(P, P)
+            P = P.dot(P)
             eP *= 2
             p = P.item(c, c)
             if p > _RESCALE_HI:
@@ -233,6 +247,7 @@ def p_value(statistic: float, n: int, mode: str = "auto") -> float:
     """
     if not 0.0 <= statistic <= 1.0:
         raise ValueError(f"statistic must lie in [0, 1], got {statistic}")
+    statistic = float(statistic)
     n = _integer_at_least(n, 1, "sample size")
     resolved = _resolve_mode(mode, n)
     if resolved == "exact":
@@ -309,6 +324,7 @@ def critical_value(n: int, alpha: float) -> float:
     whose level-alpha point is an upper end close to the answer.
     """
     n = _integer_at_least(n, 1, "sample size")
+    alpha = _level(alpha, "alpha")
     target = _level_target(alpha)
     # exact_cdf(n, 1/(2n)) = 0 and exact_cdf(n, 1) = 1 by definition.
     lo, cdf_lo = 1.0 / (2.0 * n), 0.0

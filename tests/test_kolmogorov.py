@@ -313,6 +313,67 @@ class TestExactCdf:
         assert rescales[0] == condks.kolmogorov._CHUNK
 
 
+class TestTables:
+    """H is copied out of tables built once at import, which no call may
+    write through."""
+
+    def test_each_table_refuses_a_write(self):
+        for table in condks.kolmogorov._TABLES:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+
+    def test_tables_unchanged_after_the_bit_sweep(self):
+        for n, d in bit_sweep_points():
+            exact_cdf(n, d)
+        for kept, fresh in zip(condks.kolmogorov._TABLES, condks.kolmogorov._tables(171)):
+            assert kept.shape == fresh.shape
+            assert np.array_equal(kept, fresh)
+
+    @pytest.mark.parametrize("k", [1, 11, 85, 86])
+    def test_transition_matrix_is_a_writeable_copy(self, k):
+        H = condks.kolmogorov._transition_matrix(k, 0.3)
+        assert H.flags.writeable and H.flags.c_contiguous
+        assert not any(np.shares_memory(H, table) for table in condks.kolmogorov._TABLES)
+        assert np.array_equal(H, _transition_matrix_reference(k, 0.3))
+
+
+class TestNumpyFloatArguments:
+    """A numpy float of any width gives the bits of its value as a Python
+    float: a float32 level once kept the search in float32 arithmetic,
+    whose bracket never narrowed to 1e-10, and a float32 d computed nd
+    and h in float32."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_critical_values_match_their_float_level(self, dtype):
+        alpha = dtype(0.05)
+        # Checked first: a level of the numpy type would never end the
+        # searches below.
+        assert type(condks.kolmogorov._level(alpha, "alpha")) is float
+        assert type(condks.kolmogorov._level_target(alpha)) is float
+        for n in (20, 150):
+            assert critical_value(n, alpha) == critical_value(n, float(alpha))
+        assert asymptotic_critical_value(alpha) == asymptotic_critical_value(float(alpha))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_law_matches_its_float_argument(self, dtype):
+        d = dtype(0.2)
+        got, want = exact_cdf(50, d), exact_cdf(50, float(d))
+        assert type(got) is float and got == want
+        got, want = asymptotic_cdf(dtype(1.2)), asymptotic_cdf(float(dtype(1.2)))
+        assert type(got) is float and got == want
+        for mode in ("exact", "asymptotic"):
+            got, want = p_value(d, 50, mode), p_value(float(d), 50, mode)
+            assert type(got) is float and got == want
+
+    def test_a_string_is_still_refused(self):
+        with pytest.raises(TypeError):
+            exact_cdf(50, "0.2")
+        with pytest.raises(TypeError):
+            asymptotic_cdf("1.2")
+        with pytest.raises(TypeError):
+            p_value("0.2", 50)
+
+
 class TestPValue:
     def test_exact_complement_identity(self):
         for n in (1, 4, 20, 111):
