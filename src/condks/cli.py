@@ -24,6 +24,7 @@ import numpy as np
 from .conditional import csv_records, pit_transform
 from .kolmogorov import (
     _level,
+    _level_target,
     asymptotic_cdf,
     asymptotic_critical_value,
     critical_value,
@@ -62,26 +63,49 @@ def _write(lines: Iterable[str], out: str | None) -> None:
 def _read_pairs(path: str) -> np.ndarray:
     """Read an ``xi,zeta`` CSV file into an (n, 2) float array.
 
-    numpy's C reader parses a well-formed file in one call.  A file it
-    refuses, or whose header or values are not ``xi,zeta`` and n >= 1
-    finite pairs, is read again by ``_read_pairs_by_line``: only that
-    loop names the line of a bad record, and only it takes the spellings
-    ``float()`` accepts and numpy does not (``1_0``, fullwidth digits).
+    numpy's C reader parses a well-formed file in one call.  It is given
+    the path of a regular file, not a handle: it iterates a handle line
+    by line in Python, but reads a file it opens itself in blocks.  The
+    path goes through numpy's ``_datasource`` opener, which fetches a
+    path that parses as a URL, hence the absolute path, and picks a
+    decompressor by suffix, so a plain-text ``d.csv.xz`` makes the
+    decompressor raise and is read by the loop below.  The header is read
+    by ``csv`` on its own handle, and numpy skips the physical lines it
+    took: a quoted header may span several.  A pipe can be read only
+    once, so numpy reads the rest of one from that handle.
+
+    A file numpy refuses, or whose header or values are not ``xi,zeta``
+    and n >= 1 finite pairs, is read again by ``_read_pairs_by_line``:
+    only that loop names the line of a bad record, and only it takes the
+    spellings ``float()`` accepts and numpy does not (``1_0``, fullwidth
+    digits).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = csv.reader(fh)
         try:
-            header = [c.strip() for c in next(csv.reader(fh), [])]
-            with warnings.catch_warnings():
-                # numpy warns on an empty body; the loop words it as an error.
-                warnings.simplefilter("ignore", UserWarning)
-                pairs = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                   ndmin=2)
+            header = [c.strip() for c in next(rows, [])]
         except (ValueError, csv.Error):
-            pass
-        else:
-            if (header == ["xi", "zeta"] and pairs.shape[0] >= 1 and pairs.shape[1] == 2
-                    and np.isfinite(pairs).all()):
-                return pairs
+            header = None
+        if header == ["xi", "zeta"]:
+            if os.path.isfile(path):
+                source, skip = os.path.abspath(path), rows.line_num
+            else:
+                source, skip = fh, 0
+            try:
+                with warnings.catch_warnings():
+                    # numpy warns on an empty body; the loop words it as an error.
+                    warnings.simplefilter("ignore", UserWarning)
+                    pairs = np.loadtxt(source, delimiter=",", comments=None,
+                                       quotechar='"', ndmin=2, skiprows=skip,
+                                       encoding="utf-8-sig")
+            except Exception:
+                # Any error: besides numpy's ValueError, a decompressor picked
+                # by suffix raises its own on plain text (lzma.LZMAError).
+                pass
+            else:
+                if (pairs.shape[0] >= 1 and pairs.shape[1] == 2
+                        and np.isfinite(pairs).all()):
+                    return pairs
     return _read_pairs_by_line(path)
 
 
@@ -122,6 +146,7 @@ def main() -> None:
               default="auto", show_default=True)
 def cmd_test(data: str, family_spec: str, alpha: float, mode: str) -> None:
     """Run a KS test on the pairs in DATA and print a JSON report."""
+    _level(alpha, "--alpha")
     pairs, family, kind = _read_input(data, family_spec)
     report = replace(conditional_ks_test(pairs, family, alpha=alpha, mode=mode),
                      test_kind=kind)
@@ -171,6 +196,8 @@ def cmd_dist(n: int | None, asymptotic: bool, query: str, value: float) -> None:
               help="Write the CSV here instead of stdout.")
 def cmd_table(n_max: int, alphas: tuple[float, ...], out: str | None) -> None:
     """Print a critical-value table as CSV, one row per sample size."""
+    for a in alphas:  # in order, so the first bad level is the one named
+        _level_target(_level(a, "--alpha"))
     lines = ["n," + ",".join(repr(float(a)) for a in alphas)]
     for size in range(1, n_max + 1):
         cells = [repr(critical_value(size, a)) for a in alphas]

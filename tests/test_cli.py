@@ -1,9 +1,13 @@
 import errno
+import gzip
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
+import urllib.error
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -185,6 +189,18 @@ class TestTestCommand:
         res = runner.invoke(main, [command, str(data), "--family", "bogus"])
         assert (res.exit_code, res.stdout, res.stderr) == (
             2, "", "error: unknown family 'bogus' in spec 'bogus'\n")
+
+    def test_alpha_is_checked_before_the_file(self, runner, tmp_path, monkeypatch):
+        def read(path):
+            raise AssertionError("the file was read")
+
+        data = tmp_path / "d.csv"
+        write_null_csv(data, n=5)
+        monkeypatch.setattr(cli, "_read_pairs", read)
+        res = runner.invoke(main, ["test", str(data), "--family",
+                                   "normal-location:sigma=1", "--alpha", "2"])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: --alpha must lie in (0, 1), got 2.0\n")
 
     def test_crlf_input_accepted(self, runner, tmp_path):
         data = tmp_path / "crlf.csv"
@@ -419,6 +435,83 @@ class TestIngestPaths:
         with pytest.raises(ValueError, match="line 2: field larger than field limit"):
             cli._read_pairs_by_line(str(data))
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressor_suffix_reads_as_plain_text(self, tmp_path, suffix):
+        # numpy's opener picks a decompressor by suffix; it raises on plain
+        # text (lzma.LZMAError for .xz and .lzma), and the loop reads it.
+        data = tmp_path / f"d.csv{suffix}"
+        write_null_csv(data, n=20)
+        got = ingest_outcome(cli._read_pairs, data)
+        assert got == ingest_outcome(cli._read_pairs_by_line, data)
+        assert len(got) == 20
+
+    def test_compressed_file_is_not_decompressed(self, tmp_path):
+        plain = tmp_path / "d.csv"
+        write_null_csv(plain, n=20)
+        data = tmp_path / "d.csv.gz"
+        data.write_bytes(gzip.compress(plain.read_bytes()))
+        got = ingest_outcome(cli._read_pairs, data)
+        assert got == ingest_outcome(cli._read_pairs_by_line, data)
+        assert got == (f"ValueError: {data}: line 1: not valid UTF-8 "
+                       "(byte 0x8b: invalid start byte)")
+
+    @pytest.mark.parametrize("header", [b'"xi\n",zeta', b'"xi\n\n",zeta'],
+                             ids=["two-lines", "three-lines"])
+    def test_header_over_several_lines_is_skipped_whole(self, tmp_path, monkeypatch,
+                                                        header):
+        # numpy skips physical lines: one skipped line would leave the rest
+        # of the header, which numpy refuses, and the loop would read it.
+        def loop(path):
+            raise AssertionError("the line loop ran")
+
+        data = tmp_path / "d.csv"
+        data.write_bytes(header + b"\n0.25,0\n-1,1\n")
+        want = ingest_outcome(cli._read_pairs_by_line, data)
+        assert want == np.array([[0.25, 0.0], [-1.0, 1.0]]).view(np.uint64).tolist()
+        monkeypatch.setattr(cli, "_read_pairs_by_line", loop)
+        assert ingest_outcome(cli._read_pairs, data) == want
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once_and_whole(self, tmp_path):
+        # A pipe cannot be opened again at its start: the header handle
+        # took its first block, so numpy must read the rest from that handle.
+        data = tmp_path / "d.csv"
+        write_null_csv(data, n=2000)
+        body = data.read_bytes()
+        assert len(body) > 65_536  # more than a pipe buffer holds
+        read_end, write_end = os.pipe()
+
+        def write():
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(body)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            got = ingest_outcome(cli._read_pairs, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+            writer.join()
+        assert got == ingest_outcome(cli._read_pairs, data)
+
+    def test_relative_path_that_parses_as_url_is_not_fetched(self, tmp_path,
+                                                              monkeypatch):
+        fetched = []
+
+        def urlopen(url, *args, **kwargs):
+            fetched.append(url)
+            raise urllib.error.URLError("no network in tests")
+
+        folder = tmp_path / "http:" / "host"
+        folder.mkdir(parents=True)
+        write_null_csv(folder / "d.csv", n=20)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        got = ingest_outcome(cli._read_pairs, "http://host/d.csv")
+        assert got == ingest_outcome(cli._read_pairs_by_line, folder / "d.csv")
+        assert len(got) == 20
+        assert fetched == []
+
 
 class TestDistCommand:
     def test_asymptotic_cdf_at_zero(self, runner):
@@ -545,6 +638,19 @@ class TestTableCommand:
         assert runner.invoke(
             main, ["table", "--n-max", "3", "--alpha", "2"]
         ).exit_code == 2
+
+    def test_alpha_is_named_as_an_option_before_the_first_cell(self, runner,
+                                                              monkeypatch):
+        def cell(n, alpha):
+            raise AssertionError("a cell was computed")
+
+        res = runner.invoke(main, ["table", "--n-max", "3", "--alpha", "0"])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: --alpha must lie in (0, 1), got 0.0\n")
+        monkeypatch.setattr(cli, "critical_value", cell)
+        res = runner.invoke(main, ["table", "--n-max", "3",
+                                   "--alpha", "0.05", "--alpha", "1"])
+        assert res.stderr == "error: --alpha must lie in (0, 1), got 1.0\n"
 
     def test_first_bad_alpha_is_named(self, runner):
         # critical_value checks every alpha on the first row, in order.

@@ -1,5 +1,8 @@
-"""Working memory of the transform and the statistic, and the bits they keep.
+"""Working memory of the reader, the transform and the statistic, and the
+bits they keep.
 
+``cli._read_pairs`` hands the file's path to numpy's C reader, which
+reads the text in blocks.
 ``conditional._libm`` maps its scalar function over fixed chunks of the
 array, ``ks_statistic_rows`` reuses one buffer for both differences, and
 the checks on the sample and on the zetas make one boolean pass each.
@@ -20,6 +23,7 @@ from condks import (
     ks_statistic_uniform,
     pit_transform,
 )
+from condks.cli import _read_pairs
 from condks.conditional import _LIBM_CHUNK, _libm
 from condks.empirical import ks_statistic_rows
 
@@ -70,6 +74,17 @@ class TestWorkingMemory:
         # The finite, range and order checks made 0.90 MB of masks and diffs.
         u = np.sort(np.random.default_rng(7).random(N))
         assert traced_peak(lambda: SortedUnitSample(u)) <= 150_000
+
+    def test_reader_holds_little_beside_its_result(self, tmp_path):
+        # The result is 1.60 MB; the 3.9 MB text read into one str would
+        # be more than twice that.
+        rng = np.random.default_rng(9)
+        data = tmp_path / "rows.csv"
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("xi,zeta\n")
+            fh.writelines(f"{x!r},{z!r}\n" for x, z in
+                          zip(rng.standard_normal(N).tolist(), rng.random(N).tolist()))
+        assert traced_peak(lambda: _read_pairs(str(data))) <= 2 * ARRAY + 500_000
 
     def test_zeta_check_does_not_copy_the_column(self):
         # The strided column was copied, then masked four times: 1.10 MB.
