@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from array import array
 from dataclasses import replace
@@ -60,26 +62,34 @@ def _write(lines: Iterable[str], out: str | None) -> None:
             fh.writelines(line + "\n" for line in lines)
 
 
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy's opener decompresses these
+
+
 def _read_pairs(path: str) -> np.ndarray:
     """Read an ``xi,zeta`` CSV file into an (n, 2) float array.
 
-    numpy's C reader parses a well-formed file in one call.  It is given
-    the path of a regular file, not a handle: it iterates a handle line
-    by line in Python, but reads a file it opens itself in blocks.  The
-    path goes through numpy's ``_datasource`` opener, which fetches a
-    path that parses as a URL, hence the absolute path, and picks a
-    decompressor by suffix, so a plain-text ``d.csv.xz`` makes the
-    decompressor raise and is read by the loop below.  The header is read
-    by ``csv`` on its own handle, and numpy skips the physical lines it
-    took: a quoted header may span several.  A pipe can be read only
-    once, so numpy reads the rest of one from that handle.
+    A pipe, or a file named with a suffix numpy's opener decompresses,
+    is first copied once to a temporary directory and read there as plain
+    text: a pipe opened again resumes mid-stream, and a decompressor
+    raises on plain text.  Errors name ``path``, never the copy.
 
-    A file numpy refuses, or whose header or values are not ``xi,zeta``
-    and n >= 1 finite pairs, is read again by ``_read_pairs_by_line``:
-    only that loop names the line of a bad record, and only it takes the
-    spellings ``float()`` accepts and numpy does not (``1_0``, fullwidth
-    digits).
+    A regular file takes two routes.  numpy's C reader parses it in one
+    call from its absolute path (it reads a file it opens in blocks, and
+    fetches a relative path that parses as a URL) after ``csv`` reads the
+    header on its own handle; numpy skips the physical lines ``csv`` took.
+    A file numpy refuses, or whose values are not n >= 1 finite pairs, is
+    read again by ``_read_pairs_by_line``: only that loop names the line of
+    a bad record and takes the spellings only ``float()`` accepts (``1_0``).
     """
+    if not os.path.isfile(path) or path.endswith(_COMPRESSED):
+        with tempfile.TemporaryDirectory() as scratch:
+            copy = os.path.join(scratch, "pairs.csv")
+            with open(path, "rb") as src, open(copy, "wb") as dst:
+                shutil.copyfileobj(src, dst)  # copyfile refuses a FIFO
+            try:
+                return _read_pairs(copy)
+            except ValueError as exc:
+                raise ValueError(str(exc).replace(copy, path)) from None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         try:
@@ -87,24 +97,17 @@ def _read_pairs(path: str) -> np.ndarray:
         except (ValueError, csv.Error):
             header = None
         if header == ["xi", "zeta"]:
-            if os.path.isfile(path):
-                source, skip = os.path.abspath(path), rows.line_num
-            else:
-                source, skip = fh, 0
             try:
                 with warnings.catch_warnings():
                     # numpy warns on an empty body; the loop words it as an error.
                     warnings.simplefilter("ignore", UserWarning)
-                    pairs = np.loadtxt(source, delimiter=",", comments=None,
-                                       quotechar='"', ndmin=2, skiprows=skip,
-                                       encoding="utf-8-sig")
-            except Exception:
-                # Any error: besides numpy's ValueError, a decompressor picked
-                # by suffix raises its own on plain text (lzma.LZMAError).
+                    pairs = np.loadtxt(os.path.abspath(path), delimiter=",",
+                                       comments=None, quotechar='"', ndmin=2,
+                                       skiprows=rows.line_num, encoding="utf-8-sig")
+            except ValueError:
                 pass
             else:
-                if (pairs.shape[0] >= 1 and pairs.shape[1] == 2
-                        and np.isfinite(pairs).all()):
+                if pairs.size and pairs.shape[1] == 2 and np.isfinite(pairs).all():
                     return pairs
     return _read_pairs_by_line(path)
 

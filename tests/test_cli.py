@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 import urllib.error
 import urllib.request
@@ -511,6 +512,91 @@ class TestIngestPaths:
         assert got == ingest_outcome(cli._read_pairs_by_line, folder / "d.csv")
         assert len(got) == 20
         assert fetched == []
+
+
+def piped_outcome(body):
+    """``ingest_outcome`` of ``_read_pairs`` on ``body`` written through a
+    pipe, and the pipe's path."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        try:
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(body)
+        except BrokenPipeError:
+            pass  # a reader that stops early closes the pipe
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    pipe = f"/dev/fd/{read_end}"
+    try:
+        return ingest_outcome(cli._read_pairs, pipe), pipe
+    finally:
+        os.close(read_end)
+        writer.join()
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("first, rows", [(b"1_0,0", 2000), (b"\xff,0", 0),
+                                         (b"0.5,x", 2000)],
+                         ids=["underscore", "bad-utf8", "non-numeric"])
+def test_pipe_reads_as_its_regular_file(tmp_path, first, rows):
+    # More than a pipe buffer of rows after a first row numpy refuses: the
+    # line loop must see the pipe's bytes from the start, not mid-stream.
+    data = tmp_path / "d.csv"
+    write_null_csv(data, n=rows)
+    header, body = data.read_bytes().split(b"\n", 1)
+    data.write_bytes(header + b"\n" + first + b"\n" + body)
+    want = ingest_outcome(cli._read_pairs, data)
+    got, pipe = piped_outcome(data.read_bytes())
+    if isinstance(want, str):
+        want = want.replace(str(data), pipe)
+        assert want.startswith(f"ValueError: {pipe}: line 2: ")
+    else:
+        assert len(want) == rows + 1
+    assert got == want
+
+
+@needs_dev_fd
+def test_spool_is_removed_on_every_exit(tmp_path, monkeypatch):
+    spools = tmp_path / "spools"
+    spools.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spools))
+    by_line = cli._read_pairs_by_line
+    seen = []
+    monkeypatch.setattr(cli, "_read_pairs_by_line",
+                        lambda path: seen.append(os.listdir(spools)) or by_line(path))
+    got, _ = piped_outcome(b"xi,zeta\n0.25,0\n")
+    assert len(got) == 1 and seen == [] and os.listdir(spools) == []
+    got, pipe = piped_outcome(b"xi,zeta\n0.5,x\n")
+    assert got == f"ValueError: {pipe}: line 2: non-numeric value"
+    assert len(seen) == 1 and len(seen[0]) == 1  # the loop read the spool
+    assert os.listdir(spools) == []
+
+
+def test_plain_text_named_xz_is_read_by_numpy(tmp_path, monkeypatch):
+    def loop(path):
+        raise AssertionError("the line loop ran")
+
+    plain = tmp_path / "d.csv"
+    write_null_csv(plain, n=50)
+    data = tmp_path / "d.csv.xz"
+    data.write_bytes(plain.read_bytes())
+    want = ingest_outcome(cli._read_pairs, plain)
+    monkeypatch.setattr(cli, "_read_pairs_by_line", loop)
+    assert ingest_outcome(cli._read_pairs, data) == want
+
+
+def test_every_suffix_numpy_decompresses_is_spooled():
+    # A numpy that adds an opener fails here, instead of sending a plain
+    # file so named to its decompressor and then to the line loop.
+    datasource = pytest.importorskip("numpy.lib._datasource")
+    if not hasattr(datasource, "_file_openers"):
+        pytest.skip("numpy has no _datasource._file_openers")
+    assert set(datasource._file_openers.keys()) - {None} <= set(cli._COMPRESSED)
 
 
 class TestDistCommand:

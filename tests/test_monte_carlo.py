@@ -71,6 +71,14 @@ class TestSamplers:
         with pytest.raises(ValueError, match="must be finite"):
             GaussianMixtureSampler(components=((1.0, math.inf, 1.0),))
 
+    def test_mixture_weight_sum_tolerance(self):
+        # The sum may miss 1 by rounding (1e-13), not by a wrong weight (1e-9).
+        with pytest.raises(ValueError, match="mixture weights sum to"):
+            GaussianMixtureSampler(components=((0.5, 0.0, 1.0), (0.5 + 1e-9, 1.0, 1.0)))
+        for off in (1e-13, -1e-13):
+            s = GaussianMixtureSampler(components=((0.5, 0.0, 1.0), (0.5 + off, 1.0, 1.0)))
+            assert abs(sum(w for w, _, _ in s.components) - 1.0) < 1e-12
+
 
 class TestScenario:
     def test_data_family_defaults_to_null(self):

@@ -2,7 +2,8 @@
 bits they keep.
 
 ``cli._read_pairs`` hands the file's path to numpy's C reader, which
-reads the text in blocks.
+reads the text in blocks; a pipe or a file with a compressor's suffix is
+copied to a temporary file first.
 ``conditional._libm`` maps its scalar function over fixed chunks of the
 array, ``ks_statistic_rows`` reuses one buffer for both differences, and
 the checks on the sample and on the zetas make one boolean pass each.
@@ -77,14 +78,18 @@ class TestWorkingMemory:
 
     def test_reader_holds_little_beside_its_result(self, tmp_path):
         # The result is 1.60 MB; the 3.9 MB text read into one str would
-        # be more than twice that.
+        # be more than twice that.  The .xz name is copied to a spool on
+        # disk first, block by block.
         rng = np.random.default_rng(9)
         data = tmp_path / "rows.csv"
         with open(data, "w", encoding="utf-8") as fh:
             fh.write("xi,zeta\n")
             fh.writelines(f"{x!r},{z!r}\n" for x, z in
                           zip(rng.standard_normal(N).tolist(), rng.random(N).tolist()))
-        assert traced_peak(lambda: _read_pairs(str(data))) <= 2 * ARRAY + 500_000
+        named_xz = tmp_path / "rows.csv.xz"
+        named_xz.write_bytes(data.read_bytes())
+        for path in (data, named_xz):
+            assert traced_peak(lambda: _read_pairs(str(path))) <= 2 * ARRAY + 500_000
 
     def test_zeta_check_does_not_copy_the_column(self):
         # The strided column was copied, then masked four times: 1.10 MB.
