@@ -544,8 +544,9 @@ needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /d
                                          (b"0.5,x", 2000)],
                          ids=["underscore", "bad-utf8", "non-numeric"])
 def test_pipe_reads_as_its_regular_file(tmp_path, first, rows):
-    # More than a pipe buffer of rows after a first row numpy refuses: the
-    # line loop must see the pipe's bytes from the start, not mid-stream.
+    # A first row numpy refuses, then more than a pipe buffer of rows (none
+    # in the short file): the line loop must read the pipe's bytes from
+    # their start, not from where an earlier read left the pipe.
     data = tmp_path / "d.csv"
     write_null_csv(data, n=rows)
     header, body = data.read_bytes().split(b"\n", 1)
