@@ -221,20 +221,21 @@ class UniformWidth(_ArrayFamily):
 def utf8_errors(path):
     """Word a ``UnicodeDecodeError`` from reading ``path`` as a data error
     naming the file and the line of its first byte that is not UTF-8 (the
-    decoder's own position is an offset in its current chunk)."""
+    decoder's own position is an offset in its current chunk).  A pipe has
+    nothing left to read again, so its error names the byte but no line."""
     try:
         yield
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:
             data = fh.read()
+        where = ""
         try:
             data.decode("utf-8")
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as again:
             # The bad byte is no line break, so it ends the last line counted.
-            line = len(data[:exc.start + 1].splitlines())
-            raise ValueError(f"{path}: line {line}: not valid UTF-8 "
-                             f"(byte 0x{data[exc.start]:02x}: {exc.reason})") from None
-        raise
+            exc, where = again, f" line {len(data[:again.start + 1].splitlines())}:"
+        raise ValueError(f"{path}:{where} not valid UTF-8 "
+                         f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
 
 def csv_records(path, header: tuple[str, ...]):

@@ -8,6 +8,14 @@ on execution order and any single replicate can be reproduced in
 isolation.  Within a replicate the draw order is fixed: first the zetas,
 then the uniforms that are pushed through the data family's quantile.
 
+``replicate_rng`` builds that PCG64 state with numpy's frozen SeedSequence
+hash, done here: the seed's words, then the index words of 1024
+consecutive indices in one numpy pass.  Only the last block of states is
+kept, read-only, since ``run_replicates`` asks for indices in order.  A
+generator's ``bit_generator.seed_seq`` is therefore no ``SeedSequence``,
+but it spawns the same children; an index of 2^32 or more (a second
+spawn-key word) takes numpy's own path.
+
 ``meta_test`` closes the loop on calibration: under the null the
 replicate statistics are i.i.d. from the exact finite-n law, so mapping
 them through that law's CDF must give uniforms, which is itself a KS
@@ -16,6 +24,7 @@ hypothesis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
@@ -147,10 +156,77 @@ class Scenario:
         return self.data_family == self.null_family
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx, frozen
+# by its stream policy), and how many replicate states one numpy pass hashes.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _STATE_BLOCK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 1024
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    """SeedSequence's hash of a word (int or uint32 array): it and the next const."""
+    following = const * mult & _M32
+    value = (value ^ const) * following & _M32
+    return value ^ value >> 16, following
+
+
+@functools.lru_cache(maxsize=1)
+def _state_block(seed: int, start: int) -> np.ndarray:
+    """Read-only rows of ``SeedSequence(seed, spawn_key=(r,)).generate_state(4,
+    np.uint64)`` for the ``_STATE_BLOCK`` indices r from ``start``: the seed's
+    words, zero-padded to four as before a spawn key, then r's, in one pool."""
+    from numpy.random.bit_generator import ISpawnableSeedSequence  # 6 MB: not at import
+    ISpawnableSeedSequence.register(_ReplicateSeed)
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 128), 32)]
+    words.append(np.arange(start, start + _STATE_BLOCK, dtype=np.uint32))
+    pool, const = words[:4], _INIT_A
+    for dst in range(4):
+        pool[dst], const = _hashmix(pool[dst], const)
+    # Each pool word is mixed into the other three, then each later word into all four.
+    for src, word in enumerate(words):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src] if src < 4 else word, const)
+                mixed = ((_MIX_L * pool[dst] & _M32) - (_MIX_R * hashed & _M32)) & _M32
+                pool[dst] = mixed ^ mixed >> 16
+    out, const = np.empty((_STATE_BLOCK, 8), "<u4"), _INIT_B
+    for i in range(8):
+        out[:, i], const = _hashmix(pool[i % 4], const, _MULT_B)
+    states = out.view("<u8").astype(np.uint64)  # PCG64 reads lo | hi << 32
+    states.flags.writeable = False
+    return states
+
+
+class _ReplicateSeed:
+    """Replicate ``index``'s seed sequence: PCG64's state from the block,
+    anything else from ``SeedSequence(seed, spawn_key=(index,))``."""
+
+    def __init__(self, seed: int, index: int, state: np.ndarray) -> None:
+        self.entropy, self.spawn_key, self._state = seed, (index,), state
+
+    @functools.cached_property
+    def _sequence(self):
+        return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self._state
+        return self._sequence.generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._sequence.spawn(n_children)
+
+
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for one replicate, independent of all other indices."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(ss))
+    """Generator for one replicate, independent of all other indices:
+    ``PCG64`` seeded by ``SeedSequence(seed, spawn_key=(index,))`` (see the
+    module docstring for how its state is built)."""
+    if not (isinstance(seed, (int, np.integer)) and isinstance(index, (int, np.integer))
+            and seed >= 0 and 0 <= index < 1 << 32):
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(index,))))
+    seed, index = int(seed), int(index)
+    state = _state_block(seed, index - index % _STATE_BLOCK)[index % _STATE_BLOCK]
+    return np.random.Generator(np.random.PCG64(_ReplicateSeed(seed, index, state)))
 
 
 # Replicates are transformed in blocks of about this many values: large
@@ -184,7 +260,7 @@ def run_replicates(scenario: Scenario) -> np.ndarray:
         for row in range(stop - start):
             rng = replicate_rng(scenario.seed, start + row)
             zetas[row] = scenario.zeta_sampler.draw(rng, n)
-            u[row] = rng.random(n)
+            rng.random(out=u[row])
         try:
             out[start:stop] = _statistics(scenario, zetas, u)
         except ValueError:

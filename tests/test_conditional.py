@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import re
 import sys
@@ -669,6 +670,21 @@ class TestTabulatedFamily:
             load("zeta,x,cdf\n0,0,0.1\n" + "x" * 200_000 + ",1,0.9\n")
         with pytest.raises(ValueError, match=r"line 1: field larger than field limit \("):
             load("x" * 200_000 + ",x,cdf\n0,0,0.1\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_piped_byte_that_is_not_utf8_is_named_without_a_line(self):
+        # A pipe cannot be read again to find the line, so the error names
+        # the pipe and the byte, where the decoder's own named neither.
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"zeta,x,cdf\n0,0,0.1\n0,1\xff,0.9\n")
+        os.close(write_end)
+        try:
+            with pytest.raises(ValueError) as caught:
+                TabulatedFamily.from_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert str(caught.value) == (f"/dev/fd/{read_end}: not valid UTF-8 "
+                                     "(byte 0xff: invalid start byte)")
 
 
 class TestConstantFamily:

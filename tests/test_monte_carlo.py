@@ -1,9 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condks
+from condks import monte_carlo
 from condks import (
     ConstantFamily,
     ExponentialRate,
@@ -189,6 +195,73 @@ class TestReplicateRng:
         a = replicate_rng(123, 5).random(4)
         assert not np.array_equal(a, replicate_rng(123, 6).random(4))
         assert not np.array_equal(a, replicate_rng(124, 5).random(4))
+
+    def test_states_match_numpy_for_consecutive_indices(self):
+        got = np.array([replicate_rng(88050, r).bit_generator.seed_seq.generate_state(
+            4, np.uint64) for r in range(10**5)])
+        want = np.array([np.random.SeedSequence(88050, spawn_key=(r,)).generate_state(
+            4, np.uint64) for r in range(10**5)])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**70 + 3, 2**130 + 11])
+    def test_full_state_matches_numpy(self, seed):
+        # Block edges, the last one-word index, and two-word indices.
+        for index in (1023, 1024, 2047, 2**32 - 1, 2**32, 2**40 + 3):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+            for s, r in ((seed, index), (np.uint64(seed) if seed < 2**64 else seed,
+                                         np.int64(index))):
+                assert replicate_rng(s, r).bit_generator.state == want.state, (s, r)
+
+    def test_other_state_requests_match_numpy(self):
+        seq = replicate_rng(88050, 3).bit_generator.seed_seq
+        real = np.random.SeedSequence(88050, spawn_key=(3,))
+        assert (seq.entropy, seq.spawn_key) == (real.entropy, real.spawn_key)
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+            assert np.array_equal(seq.generate_state(n_words, dtype),
+                                  real.generate_state(n_words, dtype))
+
+    def test_spawned_children_draw_numpy_children(self):
+        rng = replicate_rng(88050, 1500)
+        real = np.random.SeedSequence(88050, spawn_key=(1500,))
+        for _ in range(2):  # a second spawn gives the next children, as numpy's does
+            got = [child.random(5) for child in rng.spawn(2)]
+            want = [np.random.Generator(np.random.PCG64(c)).random(5) for c in real.spawn(2)]
+            assert np.array_equal(got, want)
+
+    def test_two_calls_give_independent_generators(self):
+        first, second = replicate_rng(9, 2), replicate_rng(9, 2)
+        assert first.bit_generator is not second.bit_generator
+        drawn = first.random(100)
+        assert np.array_equal(second.random(100), drawn)
+        assert np.array_equal(replicate_rng(9, 2).random(100), drawn)
+
+    def test_cached_block_refuses_a_write(self):
+        state = replicate_rng(5, 3).bit_generator.seed_seq.generate_state(4, np.uint64)
+        with pytest.raises(ValueError, match="read-only"):
+            state[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            monte_carlo._state_block(5, 0)[3, 0] = 0
+        assert np.array_equal(replicate_rng(5, 3).bit_generator.seed_seq.generate_state(
+            4, np.uint64), np.random.SeedSequence(5, spawn_key=(3,)).generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("sampler", ["uniform", "point-mass", "gaussian-mixture"])
+    def test_samplers_draw_numpy_values_per_replicate(self, sampler):
+        draw = BLOCK_SAMPLERS[sampler].draw
+        for r in range(1000, 1100):  # across a block edge
+            want = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(4242, spawn_key=(r,))))
+            rng = replicate_rng(4242, r)
+            assert np.array_equal(draw(rng, 30), draw(want, 30))
+            assert np.array_equal(rng.random(30), want.random(30))
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # numpy.random adds about 6 MB to a process that never draws.
+        src = str(Path(condks.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, condks.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+        assert proc.stdout == b"False\n"
 
 
 class TestRunReplicates:

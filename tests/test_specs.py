@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -252,3 +254,18 @@ class TestScenarioFiles:
         assert str(caught.value) == (
             f"{cfg}: line 3: not valid UTF-8 (byte 0xff: invalid start byte)"
         )
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_piped_byte_that_is_not_utf8_is_named_without_a_line(self):
+        # A pipe cannot be read again to find the line, so the error names
+        # the pipe and the byte, where the decoder's own named neither.
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"zeta_sampler = uniform:a=0,b=1\nn = 5\xff\n")
+        os.close(write_end)
+        try:
+            with pytest.raises(ValueError) as caught:
+                load_scenario(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert str(caught.value) == (f"/dev/fd/{read_end}: not valid UTF-8 "
+                                     "(byte 0xff: invalid start byte)")
