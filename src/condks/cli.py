@@ -8,6 +8,7 @@ JSON, so everything pipes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -25,8 +26,10 @@ import numpy as np
 
 from .conditional import csv_records, pit_transform
 from .kolmogorov import (
+    AUTO_EXACT_LIMIT,
     _level,
     _level_target,
+    _shared_law,
     asymptotic_cdf,
     asymptotic_critical_value,
     critical_value,
@@ -226,11 +229,15 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
     _level(meta_alpha, "--meta-alpha")
     config = load_scenario(scenario)
     stats = run_replicates(config)
-    meta = meta_test(stats, config.n, alpha=meta_alpha)
-    summary: dict = {"meta_test": meta.to_dict()}
-    if not config.is_calibration:
-        power = power_from_statistics(stats, config.n, alpha)
-        summary["power"] = {**power._asdict(), "alpha": alpha}
+    # Only a power pass on the exact law (n <= AUTO_EXACT_LIMIT) asks again
+    # for the values meta_test computes, so only it keeps them in a scope.
+    power_reads_law = not config.is_calibration and config.n <= AUTO_EXACT_LIMIT
+    with _shared_law() if power_reads_law else contextlib.nullcontext():
+        meta = meta_test(stats, config.n, alpha=meta_alpha)
+        summary: dict = {"meta_test": meta.to_dict()}
+        if not config.is_calibration:
+            power = power_from_statistics(stats, config.n, alpha)
+            summary["power"] = {**power._asdict(), "alpha": alpha}
     os.makedirs(out_dir, exist_ok=True)
     _write(chain(["statistic"], map(repr, map(float, stats))),
            os.path.join(out_dir, "statistics.csv"))

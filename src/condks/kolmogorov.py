@@ -22,13 +22,16 @@ m < 171.  The products are ``ndarray.dot`` calls: the same BLAS call as
 ``np.dot`` without its Python ``__array_function__`` wrapper, which was
 0.4 us of a 1.5 us product at m = 23.  n!/n^n is one ``math.prod`` per
 chunk of its ratios i/n, with a rescaling loop only over a chunk that
-ends below 1e-140.  The one thing kept between calls is those chunks for
-the last n, since a critical-value search or a run of p-values asks for
-the same n many times in a row.
+ends below 1e-140.  Kept between calls are those chunks for the last n,
+which a critical-value search or a run of p-values asks for many times
+in a row, and inside a ``_shared_law()`` scope every value it computed:
+``condks simulate`` asks each statistic's law for meta-test and power.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -142,6 +145,21 @@ def _transition_matrix(k: int, h: float) -> np.ndarray:
     return H
 
 
+# {n: {d: P(D_n <= d)}} of this thread's innermost _shared_law scope, or None.
+_law_memo = contextvars.ContextVar("_law_memo", default=None)
+
+
+@contextlib.contextmanager
+def _shared_law():
+    """Keep each exact_cdf value computed in the ``with`` body for the rest
+    of it; on leaving, by exception too, an enclosing scope's come back."""
+    token = _law_memo.set({})
+    try:
+        yield
+    finally:
+        _law_memo.reset(token)
+
+
 def exact_cdf(n: int, d: float) -> float:
     """P(D_n <= d) for the one-sample KS statistic at sample size n.
 
@@ -150,6 +168,8 @@ def exact_cdf(n: int, d: float) -> float:
     probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
     below 1e-16, which also caps the matrix size for large n.  Raises
     ValueError for a NaN d and for an n that is not an integer >= 1.
+    Inside a ``_shared_law()`` scope an (n, d) computed there before
+    returns its stored bits after those checks; outside, nothing is kept.
     """
     n = _integer_at_least(n, 1, "sample size")
     if math.isnan(d):
@@ -162,6 +182,9 @@ def exact_cdf(n: int, d: float) -> float:
         return 0.0
     if 2.0 * math.exp(-2.0 * n * d * d) < 1e-16:
         return 1.0
+    memo = _law_memo.get()
+    if memo is not None and (value := memo.setdefault(n, {}).get(d)) is not None:
+        return value
 
     k = int(nd) + 1
     h = k - nd
@@ -213,7 +236,10 @@ def exact_cdf(n: int, d: float) -> float:
             if s < _RESCALE_LO:
                 s *= _RESCALE_HI
                 eV -= 140
-    return min(1.0, max(0.0, s * 10.0 ** eV))
+    value = min(1.0, max(0.0, s * 10.0 ** eV))
+    if memo is not None:
+        memo[n][d] = value
+    return value
 
 
 # Ratios per math.prod call.  64 keeps n <= 64 to one call.  The factor

@@ -25,7 +25,7 @@ from condks import (
     p_value,
     parse_family_spec,
 )
-from condks import cli
+from condks import cli, kolmogorov
 from condks.cli import main
 
 
@@ -885,6 +885,117 @@ class TestSimulateCommand:
         res = runner.invoke(main, ["simulate", str(tmp_path / "no.cfg"),
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+
+def library_outputs(cfg, alpha=0.05, meta_alpha=0.01):
+    """The bytes of statistics.csv and summary.json, built from the library
+    outside any ``_shared_law`` scope."""
+    config = condks.load_scenario(str(cfg))
+    stats = condks.run_replicates(config)
+    summary = {"meta_test": condks.meta_test(stats, config.n, alpha=meta_alpha).to_dict()}
+    if not config.is_calibration:
+        power = cli.power_from_statistics(stats, config.n, alpha)
+        summary["power"] = {**power._asdict(), "alpha": alpha}
+    lines = ["statistic", *(repr(float(s)) for s in stats)]
+    return ("\n".join(lines) + "\n").encode(), (json.dumps(summary, indent=2) + "\n").encode()
+
+
+class TestSimulateSharedLaw:
+    """A power run on the exact law evaluates each statistic's law once:
+    the power pass reads what the meta pass stored in one scope."""
+
+    @pytest.fixture
+    def scopes(self, monkeypatch):
+        """One entry per ``_shared_law`` scope the command opens."""
+        opened = []
+        shared = cli._shared_law
+
+        def spy():
+            opened.append(kolmogorov._law_memo.get())
+            return shared()
+
+        monkeypatch.setattr(cli, "_shared_law", spy)
+        return opened
+
+    @staticmethod
+    def power_cfg(tmp_path, n, replicates):
+        cfg = tmp_path / "power.cfg"
+        write_scenario(cfg, POWER_CFG.replace("n = 80", f"n = {n}")
+                       .replace("replicates = 60", f"replicates = {replicates}"))
+        return cfg
+
+    def test_power_pass_builds_no_matrix(self, runner, tmp_path, monkeypatch, scopes):
+        cfg = self.power_cfg(tmp_path, 30, 40)
+        want = library_outputs(cfg)
+        builds, law_calls, meta_builds = [], [], []
+        build, law, meta = (kolmogorov._transition_matrix, kolmogorov.exact_cdf,
+                            cli.meta_test)
+
+        def counted_build(k, h):
+            builds.append(k)
+            return build(k, h)
+
+        def counted_law(n, d):  # p_value's calls; meta_test holds its own name
+            law_calls.append(d)
+            return law(n, d)
+
+        def counted_meta(*args, **kwargs):
+            start = len(builds)
+            report = meta(*args, **kwargs)
+            meta_builds.append(len(builds) - start)
+            return report
+
+        monkeypatch.setattr(kolmogorov, "_transition_matrix", counted_build)
+        monkeypatch.setattr(kolmogorov, "exact_cdf", counted_law)
+        monkeypatch.setattr(cli, "meta_test", counted_meta)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        # One per statistic from the power pass, and one from the meta
+        # report's own p-value at n = 40 replicates.
+        assert len(law_calls) == 41
+        assert meta_builds[0] > 0
+        assert len(builds) == meta_builds[0]
+        assert scopes == [None]
+        assert kolmogorov._law_memo.get() is None
+        assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) == want
+
+    @pytest.mark.parametrize("n, scopes_opened", [(None, 0), (140, 1), (141, 0)])
+    def test_scope_only_for_an_exact_power_pass(self, runner, tmp_path, scopes,
+                                                n, scopes_opened):
+        # n = None is the calibration scenario, whose run asks no power.
+        if n is None:
+            cfg = tmp_path / "calibration.cfg"
+            write_scenario(cfg, CALIBRATION_CFG)
+        else:
+            cfg = self.power_cfg(tmp_path, n, 20)
+        want = library_outputs(cfg)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
+        assert res.exit_code in (0, 1), res.output
+        assert len(scopes) == scopes_opened
+        assert kolmogorov._law_memo.get() is None
+        assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) == want
+
+    def test_no_memo_left_when_the_power_pass_raises(self, runner, tmp_path,
+                                                     monkeypatch, scopes):
+        inside = []
+
+        def failing(stats, n, alpha):
+            inside.append(kolmogorov._law_memo.get())
+            raise ValueError("power pass failed")
+
+        monkeypatch.setattr(cli, "power_from_statistics", failing)
+        cfg = self.power_cfg(tmp_path, 30, 10)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
+        assert (res.exit_code, res.stderr) == (2, "error: power pass failed\n")
+        assert scopes == [None]
+        # The meta pass's values: the statistics' at n = 30, and its report's
+        # p-value at n = 10 replicates.
+        assert set(inside[0]) == {30, 10}
+        assert kolmogorov._law_memo.get() is None
+        assert not out.exists()
 
 
 def write_wide_grid(path):

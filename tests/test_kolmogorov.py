@@ -1,4 +1,5 @@
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -335,6 +336,128 @@ class TestTables:
         assert H.flags.writeable and H.flags.c_contiguous
         assert not any(np.shares_memory(H, table) for table in condks.kolmogorov._TABLES)
         assert np.array_equal(H, _transition_matrix_reference(k, 0.3))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The k of every H ``exact_cdf`` builds."""
+    ks = []
+    build = condks.kolmogorov._transition_matrix
+
+    def counted(k, h):
+        ks.append(k)
+        return build(k, h)
+
+    monkeypatch.setattr(condks.kolmogorov, "_transition_matrix", counted)
+    return ks
+
+
+def _bits(values) -> list[int]:
+    assert all(type(v) is float for v in values)
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestSharedLaw:
+    """Inside ``_shared_law()`` each (n, d) computes its value once and
+    returns the same bits again; outside, nothing is kept."""
+
+    memo = condks.kolmogorov._law_memo
+    shared_law = staticmethod(condks.kolmogorov._shared_law)
+
+    def test_same_bits_inside_a_scope(self):
+        points = [(n, d) for n, d in bit_sweep_points() if n <= 200 or n == 1000]
+        # Shortcut regions at both ends, for every n of the sweep.
+        points += [(n, d) for n in [*range(1, 201), 1000]
+                   for d in (0.0, 1.0, 1.5, math.nextafter(_dkw_cutoff(n), math.inf))]
+        outside = _bits([exact_cdf(n, d) for n, d in points])
+        with self.shared_law():
+            first = _bits([exact_cdf(n, d) for n, d in points])
+            again = _bits([exact_cdf(n, d) for n, d in points])
+        assert first == outside
+        assert again == outside
+        assert self.memo.get() is None
+
+    def test_checks_run_before_the_lookup(self):
+        narrow = float(np.float32(0.1))
+        with self.shared_law():
+            exact_cdf(200, 0.1)
+            with pytest.raises(ValueError, match="^d must not be NaN$"):
+                exact_cdf(200, math.nan)
+            for n in (0, 200.0, "200"):
+                with pytest.raises(ValueError, match="sample size"):
+                    exact_cdf(n, 0.1)
+            assert exact_cdf(200, 1.0) == 1.0
+            assert exact_cdf(200, 0.0025) == 0.0  # nd <= 1/2
+            assert exact_cdf(200, 0.5) == 1.0  # past the DKW cutoff
+            assert exact_cdf(np.int64(200), np.float32(0.1)) == exact_cdf_reference(200, narrow)
+            # Only the two matrix values are kept, under a Python int and float.
+            kept = self.memo.get()
+            assert kept == {200: {0.1: exact_cdf_reference(200, 0.1),
+                                  narrow: exact_cdf_reference(200, narrow)}}
+            assert all(type(d) is float for d in kept[200])
+
+    def test_nested_scopes_and_an_exception_restore_the_outer_memo(self):
+        assert self.memo.get() is None
+        with self.shared_law():
+            exact_cdf(50, 0.2)
+            outer = self.memo.get()
+            assert outer == {50: {0.2: exact_cdf_reference(50, 0.2)}}
+            with self.shared_law():
+                assert self.memo.get() == {}
+                exact_cdf(60, 0.2)
+                assert set(self.memo.get()) == {60}
+            assert self.memo.get() is outer
+            with pytest.raises(RuntimeError, match="inner"):
+                with self.shared_law():
+                    exact_cdf(70, 0.2)
+                    raise RuntimeError("inner")
+            assert self.memo.get() is outer
+            assert set(outer) == {50}
+        assert self.memo.get() is None
+
+    def test_one_scope_keeps_each_n_apart(self, builds):
+        ds = [0.05, 0.1, 0.2, 0.3]
+        want = {n: _bits([exact_cdf_reference(n, d) for d in ds]) for n in (50, 51)}
+        with self.shared_law():
+            for _ in range(2):
+                for n in (50, 51, np.int64(50)):
+                    assert _bits([exact_cdf(n, d) for d in ds]) == want[int(n)]
+            assert sorted(self.memo.get()) == [50, 51]
+        assert len(builds) == 2 * len(ds)
+
+    def test_two_threads_at_different_n(self):
+        # Each step waits for the other thread, so the scopes interleave.
+        ds = [0.05 + 0.01 * i for i in range(20)]
+        want = {n: _bits([exact_cdf_reference(n, d) for d in ds]) * 2 for n in (50, 51)}
+        step = threading.Barrier(2, timeout=30)
+        got = {}
+
+        def run(n):
+            with self.shared_law():
+                values = []
+                for d in ds + ds:
+                    step.wait()
+                    values.append(exact_cdf(n, d))
+                got[n] = (_bits(values), sorted(self.memo.get()))
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in (50, 51)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == {n: (want[n], [n]) for n in (50, 51)}
+        assert self.memo.get() is None
+
+    def test_outside_a_scope_each_call_builds_h(self, builds):
+        exact_cdf(50, 0.2)
+        exact_cdf(50, 0.2)
+        assert len(builds) == 2
+        with self.shared_law():
+            for _ in range(3):
+                exact_cdf(50, 0.2)
+        assert len(builds) == 3
+        exact_cdf(50, 0.2)
+        assert len(builds) == 4
 
 
 class TestNumpyFloatArguments:
