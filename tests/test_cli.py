@@ -894,7 +894,7 @@ def library_outputs(cfg, alpha=0.05, meta_alpha=0.01):
     stats = condks.run_replicates(config)
     summary = {"meta_test": condks.meta_test(stats, config.n, alpha=meta_alpha).to_dict()}
     if not config.is_calibration:
-        power = cli.power_from_statistics(stats, config.n, alpha)
+        power = condks.monte_carlo.power_from_statistics(stats, config.n, alpha)
         summary["power"] = {**power._asdict(), "alpha": alpha}
     lines = ["statistic", *(repr(float(s)) for s in stats)]
     return ("\n".join(lines) + "\n").encode(), (json.dumps(summary, indent=2) + "\n").encode()

@@ -444,7 +444,8 @@ class TestSharedLaw:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert got == {n: (want[n], [n]) for n in (50, 51)}
         assert self.memo.get() is None
 
