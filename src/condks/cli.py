@@ -229,10 +229,8 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
     _level(meta_alpha, "--meta-alpha")
     config = load_scenario(scenario)
     stats = run_replicates(config)
-    # Only a power pass on the exact law (n <= AUTO_EXACT_LIMIT) asks again
-    # for the values meta_test computes, so only it keeps them in a scope.
-    power_reads_law = not config.is_calibration and config.n <= AUTO_EXACT_LIMIT
-    with _shared_law() if power_reads_law else contextlib.nullcontext():
+    # Up to AUTO_EXACT_LIMIT both passes read each statistic's law, batched.
+    with _shared_law(config.n, stats) if config.n <= AUTO_EXACT_LIMIT else contextlib.nullcontext():
         meta = meta_test(stats, config.n, alpha=meta_alpha)
         summary: dict = {"meta_test": meta.to_dict()}
         if not config.is_calibration:

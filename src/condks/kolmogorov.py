@@ -24,8 +24,10 @@ m < 171.  The products are ``ndarray.dot`` calls: the same BLAS call as
 chunk of its ratios i/n, with a rescaling loop only over a chunk that
 ends below 1e-140.  Kept between calls are those chunks for the last n,
 which a critical-value search or a run of p-values asks for many times
-in a row, and inside a ``_shared_law()`` scope every value it computed:
-``condks simulate`` asks each statistic's law for meta-test and power.
+in a row, and inside a ``_shared_law()`` scope every value it computed.
+``condks simulate`` fills that scope with ``_exact_cdf_many``: the same
+steps on stacks of H of one size, 0.08 s for 10^4 statistics at n = 50
+against 0.18 s in calls, but 76 us for one value against 14 us.
 """
 
 from __future__ import annotations
@@ -145,15 +147,82 @@ def _transition_matrix(k: int, h: float) -> np.ndarray:
     return H
 
 
+def _rescaled(A: np.ndarray, e: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of powers and their exponents of ten, each slice rescaled as
+    ``exact_cdf`` rescales V and P: 1e-140 over 1e140, 1e140 in (0, 1e-140)."""
+    v = A[:, c, c]
+    if _RESCALE_LO <= min(w := v.tolist()) and max(w) <= _RESCALE_HI:
+        return A, e
+    up, down = v > _RESCALE_HI, (0.0 < v) & (v < _RESCALE_LO)
+    A = A * np.where(up, _RESCALE_LO, np.where(down, _RESCALE_HI, 1.0))[:, None, None]
+    return A, e + 140 * (up.astype(np.int64) - down)
+
+
+def _stack_cdf(n: int, k: int, h: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """``exact_cdf``'s bits for the d of k = int(nd) + 1, h = k - nd, by its
+    steps on a stack of H; NaN where its n!/n^n loop would rescale."""
+    m, c = 2 * k - 1, k - 1
+    fact, toeplitz, powers = _TABLES if m < 171 else _tables(m + 1)
+    H = np.repeat(toeplitz[None, :m, :m], h.size, axis=0)
+    hp = h[:, None] ** powers[:m]
+    corner = (1.0 - hp[:, m - 1]) - hp[:, m - 1]
+    t = 2.0 * h - 1.0
+    corner[t > 0.0] += [x ** m for x in t[t > 0.0].tolist()]  # libm's pow, as exact_cdf's
+    first_column = (1.0 - hp) / fact[1:m + 1]
+    H[:, :, 0] = first_column
+    H[:, m - 1, :] = first_column[:, ::-1]
+    H[:, m - 1, 0] = corner / fact[m]
+    eV = eP = np.zeros(h.size, dtype=np.int64)
+    V, P, g = None, H, n
+    while g > 0:
+        if g & 1:
+            V, eV = _rescaled(P if V is None else V @ P, eV + eP, c)
+        g >>= 1
+        if g:
+            P, eP = _rescaled(P @ P, 2 * eP, c)
+    # Products from the left, as math.prod takes each chunk.  A kept one is
+    # at least 1e-140 > 0, so exact_cdf's max(0.0, .) leaves it as it is.
+    s = np.column_stack((V[:, c, c], np.broadcast_to(ratios, (h.size, n))))
+    s = np.multiply.accumulate(s, axis=1)[:, n]
+    kept = s >= _RESCALE_LO
+    scale = np.ones(h.size)
+    scale[kept & (eV != 0)] = [10.0 ** e for e in eV[kept & (eV != 0)].tolist()]
+    return np.where(kept, np.minimum(1.0, s * scale), np.nan)
+
+
+def _exact_cdf_many(n: int, ds) -> dict[float, float]:
+    """{d: exact_cdf(n, d)}, same bits, for each distinct d of ``ds`` where
+    exact_cdf powers H (d < 1, nd > 1/2, short of the DKW cutoff).  The d of
+    one k are powered in stacks of H of at most 128 kB, as is n!/n^n."""
+    d = np.sort(np.asarray(ds, dtype=float))  # np.unique imports numpy.ma
+    keep = (n * d > 0.5) & (d < 1.0)
+    keep[1:] &= d[1:] != d[:-1]
+    # math.exp, as in exact_cdf, judges the DKW cutoff.
+    d = np.array([x for x in d[keep].tolist() if 2.0 * math.exp(-2.0 * n * x * x) >= 1e-16])
+    k = (n * d).astype(np.int64) + 1
+    h = k - n * d
+    ratios = np.arange(1.0, n + 1.0) / n
+    starts = np.flatnonzero(np.diff(k, prepend=0))  # k is sorted
+    values = [np.empty(0)]
+    for group, hs in zip(k[starts].tolist(), np.split(h, starts[1:])):
+        size = max(1, 16384 // max((2 * group - 1) ** 2, n + 1))
+        values += [_stack_cdf(n, group, hs[i:i + size], ratios) for i in range(0, hs.size, size)]
+    values = np.concatenate(values)
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        values[i] = exact_cdf(n, d.item(i))
+    return dict(zip(d.tolist(), values.tolist()))
+
+
 # {n: {d: P(D_n <= d)}} of this thread's innermost _shared_law scope, or None.
 _law_memo = contextvars.ContextVar("_law_memo", default=None)
 
 
 @contextlib.contextmanager
-def _shared_law():
+def _shared_law(n: int | None = None, statistics=()):
     """Keep each exact_cdf value computed in the ``with`` body for the rest
-    of it; on leaving, by exception too, an enclosing scope's come back."""
-    token = _law_memo.set({})
+    of it; on leaving, by exception too, an enclosing scope's come back.
+    Given n, the scope starts with ``_exact_cdf_many(n, statistics)``."""
+    token = _law_memo.set({} if n is None else {n: _exact_cdf_many(n, statistics)})
     try:
         yield
     finally:
@@ -168,8 +237,9 @@ def exact_cdf(n: int, d: float) -> float:
     probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
     below 1e-16, which also caps the matrix size for large n.  Raises
     ValueError for a NaN d and for an n that is not an integer >= 1.
-    Inside a ``_shared_law()`` scope an (n, d) computed there before
-    returns its stored bits after those checks; outside, nothing is kept.
+    Inside a ``_shared_law()`` scope an (n, d) computed or filled in there
+    before returns its stored bits after those checks; outside, nothing is
+    kept.
     """
     n = _integer_at_least(n, 1, "sample size")
     if math.isnan(d):
@@ -183,7 +253,8 @@ def exact_cdf(n: int, d: float) -> float:
     if 2.0 * math.exp(-2.0 * n * d * d) < 1e-16:
         return 1.0
     memo = _law_memo.get()
-    if memo is not None and (value := memo.setdefault(n, {}).get(d)) is not None:
+    known = None if memo is None else memo.get(n)
+    if known is not None and (value := known.get(d)) is not None:
         return value
 
     k = int(nd) + 1
@@ -237,8 +308,10 @@ def exact_cdf(n: int, d: float) -> float:
                 s *= _RESCALE_HI
                 eV -= 140
     value = min(1.0, max(0.0, s * 10.0 ** eV))
-    if memo is not None:
-        memo[n][d] = value
+    if known is not None:
+        known[d] = value
+    elif memo is not None:
+        memo[n] = {d: value}
     return value
 
 

@@ -901,18 +901,19 @@ def library_outputs(cfg, alpha=0.05, meta_alpha=0.01):
 
 
 class TestSimulateSharedLaw:
-    """A power run on the exact law evaluates each statistic's law once:
-    the power pass reads what the meta pass stored in one scope."""
+    """Up to AUTO_EXACT_LIMIT a run evaluates each statistic's exact law
+    once, batched per matrix size into the scope it opens, and the meta and
+    power passes read it there: every call is kept, and no H is built."""
 
     @pytest.fixture
     def scopes(self, monkeypatch):
-        """One entry per ``_shared_law`` scope the command opens."""
+        """(enclosing memo, n, statistics) per ``_shared_law`` scope opened."""
         opened = []
         shared = cli._shared_law
 
-        def spy():
-            opened.append(kolmogorov._law_memo.get())
-            return shared()
+        def spy(n, statistics):
+            opened.append((kolmogorov._law_memo.get(), n, statistics))
+            return shared(n, statistics)
 
         monkeypatch.setattr(cli, "_shared_law", spy)
         return opened
@@ -924,12 +925,18 @@ class TestSimulateSharedLaw:
                        .replace("replicates = 60", f"replicates = {replicates}"))
         return cfg
 
-    def test_power_pass_builds_no_matrix(self, runner, tmp_path, monkeypatch, scopes):
+    @staticmethod
+    def written_statistics(out):
+        return np.loadtxt(out / "statistics.csv", skiprows=1, ndmin=1)
+
+    def test_meta_and_power_passes_build_no_matrix(self, runner, tmp_path, monkeypatch,
+                                                   scopes):
         cfg = self.power_cfg(tmp_path, 30, 40)
         want = library_outputs(cfg)
-        builds, law_calls, meta_builds = [], [], []
-        build, law, meta = (kolmogorov._transition_matrix, kolmogorov.exact_cdf,
-                            cli.meta_test)
+        builds, law_calls, batches, pass_builds = [], [], [], []
+        build, law, many = (kolmogorov._transition_matrix, kolmogorov.exact_cdf,
+                            kolmogorov._exact_cdf_many)
+        meta, power = cli.meta_test, cli.power_from_statistics
 
         def counted_build(k, h):
             builds.append(k)
@@ -939,34 +946,51 @@ class TestSimulateSharedLaw:
             law_calls.append(d)
             return law(n, d)
 
-        def counted_meta(*args, **kwargs):
-            start = len(builds)
-            report = meta(*args, **kwargs)
-            meta_builds.append(len(builds) - start)
-            return report
+        def counted_many(n, ds):
+            batches.append(many(n, ds))
+            return batches[-1]
+
+        def counted(run):
+            def wrapped(*args, **kwargs):
+                start = len(builds)
+                result = run(*args, **kwargs)
+                pass_builds.append(len(builds) - start)
+                return result
+            return wrapped
 
         monkeypatch.setattr(kolmogorov, "_transition_matrix", counted_build)
         monkeypatch.setattr(kolmogorov, "exact_cdf", counted_law)
-        monkeypatch.setattr(cli, "meta_test", counted_meta)
+        monkeypatch.setattr(kolmogorov, "_exact_cdf_many", counted_many)
+        monkeypatch.setattr(cli, "meta_test", counted(meta))
+        monkeypatch.setattr(cli, "power_from_statistics", counted(power))
         out = tmp_path / "out"
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert res.exit_code == 1, res.output
         # One per statistic from the power pass, and one from the meta
         # report's own p-value at n = 40 replicates.
         assert len(law_calls) == 41
-        assert meta_builds[0] > 0
-        assert len(builds) == meta_builds[0]
-        assert scopes == [None]
+        assert pass_builds == [0, 0]
+        assert builds == []
+        stats = self.written_statistics(out)
+        [(enclosing, n, opened_stats)] = scopes
+        assert (enclosing, n) == (None, 30)
+        assert np.array_equal(opened_stats, stats)
+        # The batch holds every statistic's law, in exact_cdf's bits.
+        assert len(batches) == 1
+        assert batches[0] == {d: law(30, d) for d in stats.tolist()}
         assert kolmogorov._law_memo.get() is None
         assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) == want
 
-    @pytest.mark.parametrize("n, scopes_opened", [(None, 0), (140, 1), (141, 0)])
-    def test_scope_only_for_an_exact_power_pass(self, runner, tmp_path, scopes,
-                                                n, scopes_opened):
-        # n = None is the calibration scenario, whose run asks no power.
-        if n is None:
+    @pytest.mark.parametrize("kind, n, scopes_opened", [
+        ("calibration", 12, 1), ("power", 140, 1), ("power", 141, 0),
+        ("calibration", 141, 0),
+    ])
+    def test_scope_only_on_the_exact_law(self, runner, tmp_path, scopes,
+                                         kind, n, scopes_opened):
+        if kind == "calibration":
             cfg = tmp_path / "calibration.cfg"
-            write_scenario(cfg, CALIBRATION_CFG)
+            write_scenario(cfg, CALIBRATION_CFG.replace("n = 12", f"n = {n}")
+                           .replace("replicates = 80", "replicates = 20"))
         else:
             cfg = self.power_cfg(tmp_path, n, 20)
         want = library_outputs(cfg)
@@ -974,6 +998,9 @@ class TestSimulateSharedLaw:
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert res.exit_code in (0, 1), res.output
         assert len(scopes) == scopes_opened
+        for enclosing, opened_n, opened_stats in scopes:
+            assert (enclosing, opened_n) == (None, n)
+            assert np.array_equal(opened_stats, self.written_statistics(out))
         assert kolmogorov._law_memo.get() is None
         assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) == want
 
@@ -990,9 +1017,9 @@ class TestSimulateSharedLaw:
         out = tmp_path / "out"
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert (res.exit_code, res.stderr) == (2, "error: power pass failed\n")
-        assert scopes == [None]
-        # The meta pass's values: the statistics' at n = 30, and its report's
-        # p-value at n = 10 replicates.
+        assert [(enclosing, n) for enclosing, n, _ in scopes] == [(None, 30)]
+        # The batch's values at n = 30, and the meta report's p-value at
+        # n = 10 replicates.
         assert set(inside[0]) == {30, 10}
         assert kolmogorov._law_memo.get() is None
         assert not out.exists()

@@ -461,6 +461,107 @@ class TestSharedLaw:
         assert len(builds) == 4
 
 
+def _in_matrix_region(n: int, d: float) -> bool:
+    """Whether exact_cdf(n, d) powers H: d not NaN, d < 1, nd > 1/2, and
+    the DKW bound, judged by math.exp as exact_cdf judges it (numpy's exp
+    differs from it in the last bit on about 5% of arguments in [-40, -30])."""
+    return (not math.isnan(d) and d < 1.0 and n * d > 0.5
+            and 2.0 * math.exp(-2.0 * n * d * d) >= 1e-16)
+
+
+class TestExactCdfMany:
+    """The batched law gives exact_cdf's bits for each distinct d in the
+    matrix region, and nothing for the d exact_cdf answers without H."""
+
+    law = staticmethod(condks.kolmogorov.exact_cdf)
+    many = staticmethod(condks.kolmogorov._exact_cdf_many)
+
+    def sweep(self):
+        """{n: d values} over n = 1..200 and 1000: the whole range of d,
+        k-group edges (nd an integer and its neighbours), the DKW edge, the
+        rescaling points, duplicates and the values the batch skips."""
+        up, down = math.inf, -math.inf
+        rng = np.random.default_rng(24)
+        sweep = {n: [] for n in [*range(1, 201), 1000]}
+        for n, d in bit_sweep_points():
+            if n in sweep:
+                sweep[n].append(d)
+        sweep[CHUNK_END_RESCALE[0]].append(CHUNK_END_RESCALE[1])
+        for n, ds in sweep.items():
+            lower, cut = 1.0 / (2.0 * n), min(_dkw_cutoff(n), 1.0)
+            if n <= 200:
+                ds += list(lower + (cut - lower) * rng.random(8))
+                ds += [j / n for j in range(1, n + 1, max(1, n // 6))]
+                ds += [math.nextafter(d, to) for d in ds[-12:] for to in (up, down)]
+            edge = _dkw_cutoff(n)
+            for _ in range(3):
+                edge = math.nextafter(edge, down)
+            for _ in range(6):
+                ds.append(edge)
+                edge = math.nextafter(edge, up)
+            ds += ds[:5] + [math.nan, 1.0, 1.5, 0.0, -0.0, lower]
+        # Powers rescaled in the stack, short of the n!/n^n loop's rescale.
+        sweep[1000] += [0.99 * _dkw_cutoff(1000), 0.9 / math.sqrt(1000)]
+        return sweep
+
+    def test_bits_match_the_scalar_law(self, monkeypatch):
+        fallbacks, rescaled = [], []
+        rescale = condks.kolmogorov._rescaled
+
+        def counted_rescale(A, e, c):
+            out = rescale(A, e, c)
+            rescaled.append(out[0] is not A)
+            return out
+
+        def counted_law(n, d):
+            fallbacks.append((n, d))
+            return self.law(n, d)
+
+        monkeypatch.setattr(condks.kolmogorov, "_rescaled", counted_rescale)
+        for n, ds in self.sweep().items():
+            monkeypatch.setattr(condks.kolmogorov, "exact_cdf", counted_law)
+            got = self.many(n, np.array(ds))
+            monkeypatch.setattr(condks.kolmogorov, "exact_cdf", self.law)
+            assert set(got) == {d for d in ds if _in_matrix_region(n, d)}, n
+            assert _bits(list(got.values())) == _bits([self.law(n, d) for d in got]), n
+            assert all(type(d) is float for d in got)
+        # Both rescaling routes ran: a product n!/n^n below 1e-140 takes the
+        # scalar call, and slices of a stack rescale while powering.
+        assert CHUNK_END_RESCALE in fallbacks
+        assert {n for n, _ in fallbacks} >= {1000}
+        assert any(rescaled)
+
+    def test_a_group_larger_than_one_stack(self, monkeypatch):
+        stacks = []
+        stack = condks.kolmogorov._stack_cdf
+
+        def counted(n, k, h, ratios):
+            stacks.append((k, h.size))
+            return stack(n, k, h, ratios)
+
+        monkeypatch.setattr(condks.kolmogorov, "_stack_cdf", counted)
+        ds = np.linspace(0.2, 0.22, 1002)[1:-1]  # k = 11, m = 21 at n = 50
+        got = self.many(50, ds[::-1])
+        assert {k for k, _ in stacks} == {11}
+        assert [size for _, size in stacks] == [16384 // 21 ** 2] * 27 + [1]
+        assert _bits(list(got.values())) == _bits([self.law(50, d) for d in got])
+        assert sorted(got) == ds.tolist()
+
+    def test_skipped_values(self):
+        assert self.many(50, [math.nan, 1.0, 1.5, 0.01, 0.0, -0.0, 0.9]) == {}
+        assert self.many(50, []) == {}
+        assert self.many(1, [0.75, 0.75]) == {0.75: self.law(1, 0.75)}
+
+    def test_a_nan_statistic_is_still_refused_in_a_filled_scope(self):
+        with condks.kolmogorov._shared_law(50, np.array([0.2, math.nan, 0.1, 1.0])):
+            assert set(condks.kolmogorov._law_memo.get()[50]) == {0.1, 0.2}
+            assert exact_cdf(50, 0.2) == exact_cdf_reference(50, 0.2)
+            with pytest.raises(ValueError, match="^d must not be NaN$"):
+                exact_cdf(50, math.nan)
+            assert exact_cdf(50, 1.0) == 1.0
+        assert condks.kolmogorov._law_memo.get() is None
+
+
 class TestNumpyFloatArguments:
     """A numpy float of any width gives the bits of its value as a Python
     float: a float32 level once kept the search in float32 arithmetic,

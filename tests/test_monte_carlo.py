@@ -263,6 +263,27 @@ class TestReplicateRng:
                               env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
         assert proc.stdout == b"False\n"
 
+    def test_an_exact_law_simulate_leaves_numpy_ma_unloaded(self, tmp_path):
+        # The batched law finds its distinct statistics without np.unique,
+        # which imports numpy.ma (about 0.6 MB) on its first call.
+        src = str(Path(condks.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text("zeta_sampler = uniform:a=0,b=1\n"
+                       "null_family = normal-location:sigma=1\n"
+                       "data_family = normal-location:sigma=2\n"
+                       "n = 140\nreplicates = 200\nseed = 7\n")
+        code = ("import sys, condks.cli\n"
+                "try:\n"
+                "    condks.cli.main(sys.argv[1:])\n"
+                "except SystemExit as stop:\n"
+                "    print(stop.code, 'numpy.ma' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "simulate", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+        assert proc.stdout == b"1 False\n"
+        assert (tmp_path / "out" / "summary.json").is_file()
+
 
 class TestRunReplicates:
     def test_order_independent_slots(self):
