@@ -929,8 +929,8 @@ class TestSimulateSharedLaw:
     def written_statistics(out):
         return np.loadtxt(out / "statistics.csv", skiprows=1, ndmin=1)
 
-    def test_meta_and_power_passes_build_no_matrix(self, runner, tmp_path, monkeypatch,
-                                                   scopes):
+    def test_power_pass_builds_no_matrix(self, runner, tmp_path, monkeypatch, scopes):
+        # Nor does the meta pass: the scope starts with the batch's values.
         cfg = self.power_cfg(tmp_path, 30, 40)
         want = library_outputs(cfg)
         builds, law_calls, batches, pass_builds = [], [], [], []
