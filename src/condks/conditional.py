@@ -55,8 +55,11 @@ def _libm(fn, a: np.ndarray) -> np.ndarray:
     # need not round like libm, and the replicate statistics of a seed are
     # frozen to the bit.  ConstantFamily's callables go through it because
     # they take one float.  It holds the output array and the Python floats
-    # (32 bytes a value) of one chunk of _LIBM_CHUNK values, not of all.
+    # (32 bytes a value) of one chunk of _LIBM_CHUNK values, not of all;
+    # an array of one chunk, such as a replicate block, is that chunk.
     flat = a.ravel()
+    if flat.size <= _LIBM_CHUNK:
+        return np.fromiter(map(fn, flat.tolist()), float, flat.size).reshape(a.shape)
     out = np.empty(flat.size)
     for start in range(0, flat.size, _LIBM_CHUNK):
         chunk = flat[start:start + _LIBM_CHUNK]

@@ -25,9 +25,10 @@ chunk of its ratios i/n, with a rescaling loop only over a chunk that
 ends below 1e-140.  Kept between calls are those chunks for the last n,
 which a critical-value search or a run of p-values asks for many times
 in a row, and inside a ``_shared_law()`` scope every value it computed.
-``condks simulate`` fills that scope with ``_exact_cdf_many``: the same
-steps on stacks of H of one size, 0.08 s for 10^4 statistics at n = 50
-against 0.18 s in calls, but 76 us for one value against 14 us.
+``condks simulate`` fills that scope with ``_exact_cdf_many``, each
+worker process for its own statistics: the same steps on stacks of H of
+one size, 0.08 s for 10^4 statistics at n = 50 against 0.18 s in calls,
+but 76 us for one value against 14 us.
 """
 
 from __future__ import annotations
@@ -218,11 +219,12 @@ _law_memo = contextvars.ContextVar("_law_memo", default=None)
 
 
 @contextlib.contextmanager
-def _shared_law(n: int | None = None, statistics=()):
+def _shared_law(n: int | None = None):
     """Keep each exact_cdf value computed in the ``with`` body for the rest
     of it; on leaving, by exception too, an enclosing scope's come back.
-    Given n, the scope starts with ``_exact_cdf_many(n, statistics)``."""
-    token = _law_memo.set({} if n is None else {n: _exact_cdf_many(n, statistics)})
+    Given n, the scope starts with an empty map for n, which
+    ``run_replicates`` fills with ``_exact_cdf_many`` of its statistics."""
+    token = _law_memo.set({} if n is None else {n: {}})
     try:
         yield
     finally:

@@ -16,6 +16,11 @@ generator's ``bit_generator.seed_seq`` is therefore no ``SeedSequence``,
 but it spawns the same children; an index of 2^32 or more (a second
 spawn-key word) takes numpy's own path.
 
+``run_replicates`` can split the replicate range into contiguous parts of
+whole blocks and run each part but the first in a forked child process;
+since every replicate has its own stream and block row, the statistics
+are the same bits for any number of parts.
+
 ``meta_test`` closes the loop on calibration: under the null the
 replicate statistics are i.i.d. from the exact finite-n law, so mapping
 them through that law's CDF must give uniforms, which is itself a KS
@@ -26,6 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -33,7 +40,8 @@ import numpy as np
 
 from .conditional import ConditionalCdfFamily, _sorted_pit
 from .empirical import SortedUnitSample, ks_statistic_rows, ks_statistic_uniform
-from .kolmogorov import _integer_at_least, _level, exact_cdf, p_value
+from .kolmogorov import (_exact_cdf_many, _integer_at_least, _law_memo, _level, exact_cdf,
+                         p_value)
 from .testing import TestReport, _build_report
 
 
@@ -242,19 +250,15 @@ def _statistics(scenario: Scenario, zetas: np.ndarray, u: np.ndarray) -> np.ndar
     return ks_statistic_rows(_sorted_pit(xi, zetas, scenario.null_family))
 
 
-def run_replicates(scenario: Scenario) -> np.ndarray:
-    """Statistic values for every replicate, in replicate order.
-
-    Replicate r draws its zetas, then its uniforms, from
-    ``replicate_rng(seed, r)``; the transform and the statistic then run
-    on a block of replicates at a time, with the same bits as one
-    replicate at a time.  A ValueError names the first failing replicate.
-    """
-    n, reps = scenario.n, scenario.replicates
+def _run_range(scenario: Scenario, first: int, last: int,
+               law: bool) -> tuple[np.ndarray, dict[float, float]]:
+    """Statistics of replicates first..last - 1, a block at a time, and
+    when ``law`` their exact law, ``_exact_cdf_many``."""
+    n = scenario.n
     rows = max(1, BLOCK_VALUES // n)
-    out = np.empty(reps)
-    for start in range(0, reps, rows):
-        stop = min(start + rows, reps)
+    out = np.empty(last - first)
+    for start in range(first, last, rows):
+        stop = min(start + rows, last)
         zetas = np.empty((stop - start, n))
         u = np.empty((stop - start, n))
         for row in range(stop - start):
@@ -262,7 +266,7 @@ def run_replicates(scenario: Scenario) -> np.ndarray:
             zetas[row] = scenario.zeta_sampler.draw(rng, n)
             rng.random(out=u[row])
         try:
-            out[start:stop] = _statistics(scenario, zetas, u)
+            out[start - first:stop - first] = _statistics(scenario, zetas, u)
         except ValueError:
             # Redo the block one replicate at a time to name the first
             # one that fails, as its error would have read on its own.
@@ -272,7 +276,72 @@ def run_replicates(scenario: Scenario) -> np.ndarray:
                 except ValueError as exc:
                     raise ValueError(f"replicate {start + row}: {exc}") from exc
             raise
-    return out
+    return out, _exact_cdf_many(n, out) if law else {}
+
+
+def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
+    """Statistic values for every replicate, in replicate order.
+
+    Replicate r draws its zetas, then its uniforms, from
+    ``replicate_rng(seed, r)``; the transform and the statistic then run
+    on a block of replicates at a time, with the same bits as one
+    replicate at a time.  A ValueError names the first failing replicate.
+
+    Where ``os.fork`` exists the blocks are split into up to ``jobs``
+    contiguous parts of at least 4 blocks: this process runs the first, a
+    forked child each other one and sends back its values or its exception
+    (the lowest part's is raised), so nothing depends on ``jobs``.  Inside
+    a ``_shared_law(n)`` scope each part also fills it with its law.
+    """
+    _integer_at_least(jobs, 1, "jobs")
+    n, reps = scenario.n, scenario.replicates
+    rows = max(1, BLOCK_VALUES // n)
+    blocks = -(-reps // rows)
+    parts = max(1, min(jobs, blocks // 4)) if hasattr(os, "fork") else 1
+    cuts = [rows * (blocks * i // parts) for i in range(parts)] + [reps]
+    law = (_law_memo.get() or {}).get(n)
+    pending = {}  # pid: the read end of its pipe, until it is reaped
+    try:
+        for first, last in zip(cuts[1:], cuts[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        result = _run_range(scenario, first, last, law is not None)
+                    except Exception as exc:  # noqa: BLE001  raised in the parent
+                        result = exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)  # no atexit hook, no flush of inherited buffers
+            os.close(write)
+            pending[pid] = open(read, "rb")
+        results = [_run_range(scenario, 0, cuts[1], law is not None)]
+        for pid in list(pending):
+            data = pending[pid].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pending.pop(pid).close()
+            if status:
+                raise ChildProcessError(f"a worker process exited with status {status}")
+            results.append(pickle.loads(data))
+            if isinstance(results[-1], Exception):
+                raise results[-1]
+    finally:
+        for pid, pipe in pending.items():  # after an error: stop and reap the rest
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL, without importing signal
+            os.waitpid(pid, 0)
+    for _, values in results if law is not None else ():
+        law.update(values)
+    return np.concatenate([stats for stats, _ in results])
 
 
 def _statistics_array(statistics: Iterable[float]) -> np.ndarray:

@@ -1,5 +1,6 @@
 import errno
 import gzip
+import hashlib
 import json
 import os
 import random
@@ -25,8 +26,9 @@ from condks import (
     p_value,
     parse_family_spec,
 )
-from condks import cli, kolmogorov
+from condks import cli, kolmogorov, monte_carlo
 from condks.cli import main
+from test_golden import ANCHOR_SCENARIO, ANCHOR_STATISTICS_SHA256, ANCHOR_SUMMARY_SHA256
 
 
 @pytest.fixture
@@ -907,15 +909,23 @@ class TestSimulateSharedLaw:
 
     @pytest.fixture
     def scopes(self, monkeypatch):
-        """(enclosing memo, n, statistics) per ``_shared_law`` scope opened."""
+        """[enclosing memo, n, the memo as the meta pass found it] per
+        ``_shared_law`` scope opened."""
         opened = []
-        shared = cli._shared_law
+        shared, meta = cli._shared_law, cli.meta_test
 
-        def spy(n, statistics):
-            opened.append((kolmogorov._law_memo.get(), n, statistics))
-            return shared(n, statistics)
+        def spy(n):
+            opened.append([kolmogorov._law_memo.get(), n, None])
+            return shared(n)
+
+        def reading(*args, **kwargs):
+            memo = kolmogorov._law_memo.get()
+            if opened and memo is not None:
+                opened[-1][2] = {m: dict(law) for m, law in memo.items()}
+            return meta(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_shared_law", spy)
+        monkeypatch.setattr(cli, "meta_test", reading)
         return opened
 
     @staticmethod
@@ -930,7 +940,7 @@ class TestSimulateSharedLaw:
         return np.loadtxt(out / "statistics.csv", skiprows=1, ndmin=1)
 
     def test_power_pass_builds_no_matrix(self, runner, tmp_path, monkeypatch, scopes):
-        # Nor does the meta pass: the scope starts with the batch's values.
+        # Nor does the meta pass: the run fills the scope with the batch's values.
         cfg = self.power_cfg(tmp_path, 30, 40)
         want = library_outputs(cfg)
         builds, law_calls, batches, pass_builds = [], [], [], []
@@ -960,7 +970,7 @@ class TestSimulateSharedLaw:
 
         monkeypatch.setattr(kolmogorov, "_transition_matrix", counted_build)
         monkeypatch.setattr(kolmogorov, "exact_cdf", counted_law)
-        monkeypatch.setattr(kolmogorov, "_exact_cdf_many", counted_many)
+        monkeypatch.setattr(monte_carlo, "_exact_cdf_many", counted_many)
         monkeypatch.setattr(cli, "meta_test", counted(meta))
         monkeypatch.setattr(cli, "power_from_statistics", counted(power))
         out = tmp_path / "out"
@@ -972,12 +982,11 @@ class TestSimulateSharedLaw:
         assert pass_builds == [0, 0]
         assert builds == []
         stats = self.written_statistics(out)
-        [(enclosing, n, opened_stats)] = scopes
-        assert (enclosing, n) == (None, 30)
-        assert np.array_equal(opened_stats, stats)
-        # The batch holds every statistic's law, in exact_cdf's bits.
+        # The batch holds every statistic's law, in exact_cdf's bits, and
+        # the meta pass finds it, and nothing else, in the scope.
         assert len(batches) == 1
         assert batches[0] == {d: law(30, d) for d in stats.tolist()}
+        assert scopes == [[None, 30, {30: batches[0]}]]
         assert kolmogorov._law_memo.get() is None
         assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) == want
 
@@ -998,9 +1007,9 @@ class TestSimulateSharedLaw:
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert res.exit_code in (0, 1), res.output
         assert len(scopes) == scopes_opened
-        for enclosing, opened_n, opened_stats in scopes:
+        for enclosing, opened_n, read in scopes:
             assert (enclosing, opened_n) == (None, n)
-            assert np.array_equal(opened_stats, self.written_statistics(out))
+            assert read == {n: kolmogorov._exact_cdf_many(n, self.written_statistics(out))}
         assert kolmogorov._law_memo.get() is None
         assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) == want
 
@@ -1023,6 +1032,138 @@ class TestSimulateSharedLaw:
         assert set(inside[0]) == {30, 10}
         assert kolmogorov._law_memo.get() is None
         assert not out.exists()
+
+
+JOBS_SCENARIOS = {
+    "anchor": ANCHOR_SCENARIO,
+    # 3337 = 47 * 71: 16 blocks of 221 at n = 37, the last one short.
+    "power at n = 37": POWER_CFG.replace("n = 80", "n = 37")
+                                .replace("replicates = 60", "replicates = 3337"),
+    "calibration at n = 50": CALIBRATION_CFG.replace("n = 12", "n = 50")
+                                            .replace("replicates = 80", "replicates = 2000"),
+    # Past AUTO_EXACT_LIMIT: the asymptotic power, and no law scope.
+    "power at n = 141": POWER_CFG.replace("n = 80", "n = 141")
+                                 .replace("replicates = 60", "replicates = 1000"),
+}
+
+# 12 blocks of 204 at n = 40; the first zeta at or below 0 is drawn by
+# replicate 1328, in the second of two parts.
+FAILING_IN_PARTS_CFG = (
+    "zeta_sampler = gaussian-mixture:weights=1,means=1,sds=0.25\n"
+    "null_family = exponential-rate\n"
+    "n = 40\n"
+    "replicates = 2448\n"
+    "seed = 11\n"
+)
+
+# condks simulate in a fresh interpreter whose exit hook, like the
+# benchmark's, writes one line to stderr: here the forks it saw.
+FORK_COUNTING_SCRIPT = """\
+import atexit, os, sys
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    forks.append(pid)
+    return pid
+os.fork = counted
+atexit.register(lambda: sys.stderr.write(f"exit hook: {len(forks)} forks\\n"))
+from condks.cli import main
+sys.exit(main(prog_name="condks"))
+"""
+
+
+class TestSimulateJobs:
+    """``--jobs`` splits the replicates over forked worker processes; the
+    artifacts are the same bytes for every value."""
+
+    def run(self, runner, cfg, out, *args):
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out), *args])
+        return res, (out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(JOBS_SCENARIOS))
+    def test_same_bytes_for_any_jobs(self, runner, tmp_path, forks, name):
+        cfg = tmp_path / "scenario.cfg"
+        write_scenario(cfg, JOBS_SCENARIOS[name])
+        if name == "anchor":
+            want = (ANCHOR_STATISTICS_SHA256, ANCHOR_SUMMARY_SHA256)
+        else:
+            want = tuple(hashlib.sha256(b).hexdigest() for b in library_outputs(cfg))
+        for jobs in ([], ["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"]):
+            forks.clear()
+            res, *artifacts = self.run(runner, cfg, tmp_path / f"out{jobs}", *jobs)
+            assert res.exit_code == (0 if name.startswith("calibration") else 1), res.output
+            assert (res.stdout, res.stderr) == ("", "")
+            assert tuple(hashlib.sha256(b).hexdigest() for b in artifacts) == want
+            if jobs:
+                assert len(forks) == int(jobs[1]) - 1
+
+    def test_the_first_failing_replicate_is_named_for_any_jobs(self, runner, tmp_path, forks):
+        cfg = tmp_path / "scenario.cfg"
+        write_scenario(cfg, FAILING_IN_PARTS_CFG)
+        errors = []
+        for jobs in ("1", "2", "3"):
+            res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "out"),
+                                       "--jobs", jobs])
+            errors.append((res.exit_code, res.stdout, res.stderr))
+        assert len(forks) == 3
+        assert errors[0][2].startswith("error: replicate 1328: zeta=-")
+        assert errors == [(2, "", errors[0][2])] * 3
+        assert not (tmp_path / "out").exists()
+
+    def test_a_worker_that_dies_is_a_data_error(self, runner, tmp_path, forks, monkeypatch):
+        parent, run = os.getpid(), monte_carlo._run_range
+
+        def dying_in_children(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args)
+
+        monkeypatch.setattr(monte_carlo, "_run_range", dying_in_children)
+        cfg = tmp_path / "scenario.cfg"
+        write_scenario(cfg, JOBS_SCENARIOS["power at n = 37"])
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "out"),
+                                   "--jobs", "2"])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: a worker process exited with status 3\n")
+        assert kolmogorov._law_memo.get() is None
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+    def test_jobs_below_one_is_a_usage_error(self, runner, tmp_path, jobs):
+        cfg = tmp_path / "scenario.cfg"
+        write_scenario(cfg, CALIBRATION_CFG)
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "out"),
+                                   "--jobs", jobs])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert "Invalid value for '--jobs'" in res.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "8"]])
+    def test_a_small_run_never_forks(self, runner, tmp_path, monkeypatch, jobs):
+        # 300 replicates at n = 50 are 2 blocks: the benchmark's traced job.
+        def refused():
+            raise AssertionError("os.fork was called")
+
+        monkeypatch.setattr(os, "fork", refused)
+        cfg = tmp_path / "scenario.cfg"
+        write_scenario(cfg, ANCHOR_SCENARIO.replace("replicates = 10000", "replicates = 300"))
+        res, *artifacts = self.run(runner, cfg, tmp_path / "out", *jobs)
+        assert res.exit_code == 1, res.output
+        assert tuple(artifacts) == library_outputs(cfg)
+
+    def test_children_leave_no_trace_in_a_fresh_process(self, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        write_scenario(cfg, JOBS_SCENARIOS["power at n = 37"])
+        src = str(Path(condks.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", FORK_COUNTING_SCRIPT, "simulate", str(cfg),
+             "--out", str(out), "--jobs", "3"],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"exit hook: 2 forks\n")
+        assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) \
+            == library_outputs(cfg)
 
 
 def write_wide_grid(path):

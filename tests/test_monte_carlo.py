@@ -1,8 +1,10 @@
+import errno
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +387,167 @@ class TestBlockMatchesOneReplicateAtATime:
                       n=BLOCK_VALUES + 123, replicates=3, seed=31)
         got = run_replicates(sc)
         assert np.array_equal(got.view(np.int64), _one_at_a_time(sc).view(np.int64))
+
+
+def power_scenario(n=37, replicates=3337, seed=25):
+    # 3337 = 47 * 71: 16 blocks of 221 at n = 37, the last one short.
+    return Scenario(zeta_sampler=UniformSampler(0.0, 1.0),
+                    null_family=NormalLocation(sigma=1.0),
+                    data_family=NormalLocation(sigma=2.0),
+                    n=n, replicates=replicates, seed=seed)
+
+
+PART_SCENARIOS = {
+    "power at n = 37": power_scenario,
+    "calibration at n = 50": lambda: calibration_scenario(n=50, replicates=2000),
+    "power at n = 141": lambda: power_scenario(n=141, replicates=1000),
+    # A lambda does not pickle; a forked child never needs it to.
+    "constant family around a lambda": lambda: Scenario(
+        zeta_sampler=PointMassSampler(0.0), null_family=ConstantFamily(lambda x: x),
+        data_family=UniformWidth(), n=50, replicates=2000, seed=3),
+}
+
+# 12 blocks of 204 replicates at n = 40.  A zeta at or below 0 comes first
+# at replicates 1328 and 2066: in the second of two parts, and in the
+# second and third of three.
+FAILING_IN_PARTS = dict(
+    zeta_sampler=GaussianMixtureSampler(components=((1.0, 1.0, 0.25),)),
+    null_family=ExponentialRate(), n=40, replicates=12 * 204, seed=11)
+
+
+class TestRunReplicatesInParts:
+    """``run_replicates(scenario, jobs)`` runs contiguous parts of whole
+    blocks, the first in this process and each other in a forked child,
+    with the same bits and errors as one process."""
+
+    @pytest.mark.parametrize("name", sorted(PART_SCENARIOS))
+    def test_same_bits_for_any_jobs(self, forks, name):
+        sc = PART_SCENARIOS[name]()
+        serial = run_replicates(sc)
+        assert forks == []
+        for jobs in (2, 3):
+            got = run_replicates(sc, jobs=jobs)
+            assert len(forks) == jobs - 1
+            assert np.array_equal(got.view(np.int64), serial.view(np.int64))
+            forks.clear()
+
+    @pytest.mark.parametrize("blocks, parts", [(1, 1), (4, 1), (7, 1), (8, 2), (11, 2), (12, 3), (40, 3)])
+    def test_four_blocks_a_part_at_least(self, forks, blocks, parts):
+        rows = BLOCK_VALUES // 50
+        sc = calibration_scenario(n=50, replicates=blocks * rows - 1)
+        got = run_replicates(sc, jobs=3)
+        assert len(forks) == parts - 1
+        assert np.array_equal(got, run_replicates(sc))
+
+    def test_each_part_fills_an_open_law_scope(self, forks, monkeypatch):
+        sc = power_scenario()
+        with condks.kolmogorov._shared_law(37):
+            stats = run_replicates(sc, jobs=3)
+            filled = condks.kolmogorov._law_memo.get()
+        assert len(forks) == 2
+        assert filled == {37: condks.kolmogorov._exact_cdf_many(37, stats)}
+        # No law is computed outside a scope for n.
+        monkeypatch.setattr(monte_carlo, "_exact_cdf_many", None)
+        with condks.kolmogorov._shared_law(36):
+            assert np.array_equal(run_replicates(sc, jobs=3), stats)
+            assert condks.kolmogorov._law_memo.get() == {36: {}}
+        assert np.array_equal(run_replicates(sc, jobs=3), stats)
+
+    def test_the_lowest_failing_replicate_is_named_for_any_jobs(self, forks):
+        sc = Scenario(**FAILING_IN_PARTS)
+        bad = [r for r in range(sc.replicates)
+               if (sc.zeta_sampler.draw(replicate_rng(sc.seed, r), sc.n) <= 0.0).any()]
+        assert bad == [1328, 2066]
+        messages = []
+        for jobs in (1, 2, 3):
+            with pytest.raises(ValueError) as info:
+                run_replicates(sc, jobs=jobs)
+            messages.append(str(info.value))
+        assert len(forks) == 3
+        assert messages[0].startswith("replicate 1328: zeta=-")
+        assert messages == messages[:1] * 3
+
+    def test_a_child_exception_keeps_its_type_and_message(self, forks, monkeypatch):
+        parent, run = os.getpid(), monte_carlo._run_range
+
+        def failing_in_children(scenario, start, stop, law):
+            if os.getpid() != parent:
+                raise KeyError(f"part from replicate {start}")
+            return run(scenario, start, stop, law)
+
+        monkeypatch.setattr(monte_carlo, "_run_range", failing_in_children)
+        with pytest.raises(KeyError) as info:
+            run_replicates(power_scenario(), jobs=3)
+        # The lower of the two failing parts: 5 of 16 blocks of 221.
+        assert info.value.args == ("part from replicate 1105",)
+        assert len(forks) == 2
+
+    def test_a_child_that_dies_is_named_with_its_status(self, forks, monkeypatch):
+        parent, run = os.getpid(), monte_carlo._run_range
+
+        def dying_in_children(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args)
+
+        monkeypatch.setattr(monte_carlo, "_run_range", dying_in_children)
+        with pytest.raises(ChildProcessError, match="^a worker process exited with status 3$"):
+            run_replicates(power_scenario(), jobs=2)
+        assert len(forks) == 1
+
+    def test_a_child_that_cannot_send_its_result_exits_with_status_1(self, forks, monkeypatch):
+        parent, run = os.getpid(), monte_carlo._run_range
+
+        def unpicklable_in_children(*args):
+            if os.getpid() != parent:
+                raise ValueError(lambda: "a lambda does not pickle")
+            return run(*args)
+
+        monkeypatch.setattr(monte_carlo, "_run_range", unpicklable_in_children)
+        with pytest.raises(ChildProcessError, match="^a worker process exited with status 1$"):
+            run_replicates(power_scenario(), jobs=2)
+
+    def test_the_first_parts_error_stops_the_children(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def failing(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError("the first part failed")
+
+        monkeypatch.setattr(monte_carlo, "_run_range", failing)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="^the first part failed$"):
+            run_replicates(power_scenario(), jobs=3)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_failed_fork_stops_the_children_and_closes_the_pipes(self, forks, monkeypatch):
+        fork = os.fork
+
+        def second_fails():
+            if forks:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_replicates(power_scenario(), jobs=3)
+        assert len(forks) == 1
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_without_fork_the_run_stays_in_this_process(self, monkeypatch):
+        sc = power_scenario()
+        serial = run_replicates(sc)
+        monkeypatch.delattr(os, "fork")
+        assert np.array_equal(run_replicates(sc, jobs=3), serial)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2"])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        with pytest.raises(ValueError, match=f"^jobs must be an integer >= 1, got {jobs}$"):
+            run_replicates(calibration_scenario(), jobs=jobs)
 
 
 class TestMetaTest:

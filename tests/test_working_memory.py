@@ -59,6 +59,14 @@ class TestWorkingMemory:
         x = np.random.default_rng(1).standard_normal(N)
         assert traced_peak(lambda: _libm(math.erfc, x)) <= ARRAY + 500_000
 
+    def test_libm_on_one_chunk_makes_one_array(self):
+        # A 163 x 50 replicate block: its 8150 values as Python floats
+        # (32 bytes each) and one output array, 324 kB; the copy of the
+        # chunk into a second output array added 65 kB.
+        block = np.random.default_rng(1).standard_normal((163, 50))
+        assert block.size <= _LIBM_CHUNK
+        assert traced_peak(lambda: _libm(math.erfc, block)) <= block.size * (32 + 8) + 2_000
+
     def test_statistic_holds_about_two_arrays(self):
         u = np.sort(np.random.default_rng(2).random(N))
         assert traced_peak(lambda: ks_statistic_rows(u)) <= 2.1 * ARRAY
