@@ -219,12 +219,7 @@ def cmd_table(n_max: int, alphas: tuple[float, ...], out: str | None) -> None:
               help="Per-replicate test level for the power estimate.")
 @click.option("--meta-alpha", type=float, default=0.01, show_default=True,
               help="Level for the calibration meta-test.")
-@click.option("--jobs", type=click.IntRange(min=1),
-              default=lambda: len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
-              show_default="the CPUs this process may use",
-              help="Processes to split the replicates over; the outputs do not depend on it.")
-def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float,
-                 jobs: int) -> None:
+def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -> None:
     """Run a scenario end-to-end and write its artifacts.
 
     Exits 1 when the calibration meta-test rejects (expected for
@@ -233,6 +228,8 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float,
     _level(alpha, "--alpha")
     _level(meta_alpha, "--meta-alpha")
     config = load_scenario(scenario)
+    # Processes: the CPUs this process may use, at most the 2 measured (README).
+    jobs = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     # Up to AUTO_EXACT_LIMIT each part of the run puts its statistics' law,
     # batched, into the scope that both passes read.
     with _shared_law(config.n) if config.n <= AUTO_EXACT_LIMIT else contextlib.nullcontext():

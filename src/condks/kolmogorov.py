@@ -223,12 +223,22 @@ def _shared_law(n: int | None = None):
     """Keep each exact_cdf value computed in the ``with`` body for the rest
     of it; on leaving, by exception too, an enclosing scope's come back.
     Given n, the scope starts with an empty map for n, which
-    ``run_replicates`` fills with ``_exact_cdf_many`` of its statistics."""
+    ``run_replicates`` fills through ``_add_law``."""
     token = _law_memo.set({} if n is None else {n: {}})
     try:
         yield
     finally:
         _law_memo.reset(token)
+
+
+def _law_scope_open(n: int) -> bool:
+    """Whether the innermost ``_shared_law`` scope keeps values for n."""
+    return n in (_law_memo.get() or {})
+
+
+def _add_law(n: int, values: dict[float, float]) -> None:
+    """Keep ``_exact_cdf_many(n, ...)``'s values in the open scope for n."""
+    _law_memo.get()[n].update(values)
 
 
 def exact_cdf(n: int, d: float) -> float:

@@ -40,8 +40,8 @@ import numpy as np
 
 from .conditional import ConditionalCdfFamily, _sorted_pit
 from .empirical import SortedUnitSample, ks_statistic_rows, ks_statistic_uniform
-from .kolmogorov import (_exact_cdf_many, _integer_at_least, _law_memo, _level, exact_cdf,
-                         p_value)
+from .kolmogorov import (_add_law, _exact_cdf_many, _integer_at_least, _law_scope_open, _level,
+                         exact_cdf, p_value)
 from .testing import TestReport, _build_report
 
 
@@ -288,10 +288,13 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
     replicate at a time.  A ValueError names the first failing replicate.
 
     Where ``os.fork`` exists the blocks are split into up to ``jobs``
-    contiguous parts of at least 4 blocks: this process runs the first, a
-    forked child each other one and sends back its values or its exception
-    (the lowest part's is raised), so nothing depends on ``jobs``.  Inside
-    a ``_shared_law(n)`` scope each part also fills it with its law.
+    contiguous parts of at least 4 blocks: this process runs the first and
+    a forked child each other one, which sends back its values, so the
+    values do not depend on ``jobs``.  Of the parts' exceptions the lowest
+    part's is raised; a worker's comes back by its type and message only,
+    without traceback or cause, and as a RuntimeError naming its type if
+    it does not survive a pickle.  Inside a ``_shared_law(n)`` scope each
+    part also puts its law there.
     """
     _integer_at_least(jobs, 1, "jobs")
     n, reps = scenario.n, scenario.replicates
@@ -299,7 +302,9 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
     blocks = -(-reps // rows)
     parts = max(1, min(jobs, blocks // 4)) if hasattr(os, "fork") else 1
     cuts = [rows * (blocks * i // parts) for i in range(parts)] + [reps]
-    law = (_law_memo.get() or {}).get(n)
+    law = _law_scope_open(n)
+    if parts > 1:
+        import numpy.random  # noqa: F401  here: the children share it, not import it again
     pending = {}  # pid: the read end of its pipe, until it is reaped
     try:
         for first, last in zip(cuts[1:], cuts[2:]):
@@ -314,9 +319,13 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
                 status = 1
                 try:
                     try:
-                        result = _run_range(scenario, first, last, law is not None)
+                        result = _run_range(scenario, first, last, law)
                     except Exception as exc:  # noqa: BLE001  raised in the parent
                         result = exc
+                        try:
+                            pickle.loads(pickle.dumps(exc))
+                        except Exception:  # noqa: BLE001  then send its type and message
+                            result = RuntimeError(f"{type(exc).__name__}: {exc}")
                     with open(write, "wb") as pipe:
                         pickle.dump(result, pipe)
                     status = 0
@@ -324,7 +333,7 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
                     os._exit(status)  # no atexit hook, no flush of inherited buffers
             os.close(write)
             pending[pid] = open(read, "rb")
-        results = [_run_range(scenario, 0, cuts[1], law is not None)]
+        results = [_run_range(scenario, 0, cuts[1], law)]
         for pid in list(pending):
             data = pending[pid].read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -339,8 +348,8 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
             pipe.close()
             os.kill(pid, 9)  # SIGKILL, without importing signal
             os.waitpid(pid, 0)
-    for _, values in results if law is not None else ():
-        law.update(values)
+    for _, values in results if law else ():
+        _add_law(n, values)
     return np.concatenate([stats for stats, _ in results])
 
 

@@ -1057,61 +1057,85 @@ FAILING_IN_PARTS_CFG = (
 )
 
 # condks simulate in a fresh interpreter whose exit hook, like the
-# benchmark's, writes one line to stderr: here the forks it saw.
+# benchmark's, writes one line to stderr: here the forks it saw, with
+# three CPUs to use, and whether numpy.random, which the children then
+# share, was loaded before each.
 FORK_COUNTING_SCRIPT = """\
 import atexit, os, sys
 forks = []
 fork = os.fork
 def counted():
-    pid = fork()
-    forks.append(pid)
-    return pid
+    forks.append("numpy.random" in sys.modules)
+    return fork()
 os.fork = counted
-atexit.register(lambda: sys.stderr.write(f"exit hook: {len(forks)} forks\\n"))
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+atexit.register(lambda: sys.stderr.write(f"exit hook: forks {forks}\\n"))
 from condks.cli import main
 sys.exit(main(prog_name="condks"))
 """
 
 
 class TestSimulateJobs:
-    """``--jobs`` splits the replicates over forked worker processes; the
-    artifacts are the same bytes for every value."""
+    """condks simulate splits the replicates over as many processes as it
+    may use CPUs, at most 2; the artifacts are the same bytes for any
+    count."""
 
-    def run(self, runner, cfg, out, *args):
-        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out), *args])
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set how many CPUs ``os.sched_getaffinity`` reports."""
+        def use(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        return use
+
+    def run(self, runner, cfg, out):
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         return res, (out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()
 
     @pytest.mark.parametrize("name", sorted(JOBS_SCENARIOS))
-    def test_same_bytes_for_any_jobs(self, runner, tmp_path, forks, name):
+    def test_same_bytes_for_any_cpu_count(self, runner, tmp_path, forks, cpus, name):
         cfg = tmp_path / "scenario.cfg"
         write_scenario(cfg, JOBS_SCENARIOS[name])
         if name == "anchor":
             want = (ANCHOR_STATISTICS_SHA256, ANCHOR_SUMMARY_SHA256)
         else:
             want = tuple(hashlib.sha256(b).hexdigest() for b in library_outputs(cfg))
-        for jobs in ([], ["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"]):
+        for count in (None, 1, 2, 8):
             forks.clear()
-            res, *artifacts = self.run(runner, cfg, tmp_path / f"out{jobs}", *jobs)
+            if count:
+                cpus(count)
+            res, *artifacts = self.run(runner, cfg, tmp_path / f"out{count}")
             assert res.exit_code == (0 if name.startswith("calibration") else 1), res.output
             assert (res.stdout, res.stderr) == ("", "")
             assert tuple(hashlib.sha256(b).hexdigest() for b in artifacts) == want
-            if jobs:
-                assert len(forks) == int(jobs[1]) - 1
+            if count:
+                assert len(forks) == min(count, 2) - 1
 
-    def test_the_first_failing_replicate_is_named_for_any_jobs(self, runner, tmp_path, forks):
+    def test_without_sched_getaffinity_the_run_stays_in_one_process(
+            self, runner, tmp_path, forks, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        cfg = tmp_path / "scenario.cfg"
+        write_scenario(cfg, JOBS_SCENARIOS["power at n = 37"])
+        res, *artifacts = self.run(runner, cfg, tmp_path / "out")
+        assert res.exit_code == 1, res.output
+        assert tuple(artifacts) == library_outputs(cfg)
+        assert forks == []
+
+    def test_the_first_failing_replicate_is_named_for_any_cpu_count(
+            self, runner, tmp_path, forks, cpus):
         cfg = tmp_path / "scenario.cfg"
         write_scenario(cfg, FAILING_IN_PARTS_CFG)
         errors = []
-        for jobs in ("1", "2", "3"):
-            res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "out"),
-                                       "--jobs", jobs])
+        for count in (1, 2):
+            cpus(count)
+            res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "out")])
             errors.append((res.exit_code, res.stdout, res.stderr))
-        assert len(forks) == 3
+        assert len(forks) == 1
         assert errors[0][2].startswith("error: replicate 1328: zeta=-")
-        assert errors == [(2, "", errors[0][2])] * 3
+        assert errors == [(2, "", errors[0][2])] * 2
         assert not (tmp_path / "out").exists()
 
-    def test_a_worker_that_dies_is_a_data_error(self, runner, tmp_path, forks, monkeypatch):
+    def test_a_worker_that_dies_is_a_data_error(self, runner, tmp_path, forks, cpus,
+                                                monkeypatch):
         parent, run = os.getpid(), monte_carlo._run_range
 
         def dying_in_children(*args):
@@ -1120,34 +1144,26 @@ class TestSimulateJobs:
             return run(*args)
 
         monkeypatch.setattr(monte_carlo, "_run_range", dying_in_children)
+        cpus(2)
         cfg = tmp_path / "scenario.cfg"
         write_scenario(cfg, JOBS_SCENARIOS["power at n = 37"])
-        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "out"),
-                                   "--jobs", "2"])
+        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "out")])
         assert (res.exit_code, res.stdout, res.stderr) == (
             2, "", "error: a worker process exited with status 3\n")
         assert kolmogorov._law_memo.get() is None
 
-    @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
-    def test_jobs_below_one_is_a_usage_error(self, runner, tmp_path, jobs):
-        cfg = tmp_path / "scenario.cfg"
-        write_scenario(cfg, CALIBRATION_CFG)
-        res = runner.invoke(main, ["simulate", str(cfg), "--out", str(tmp_path / "out"),
-                                   "--jobs", jobs])
-        assert (res.exit_code, res.stdout) == (2, "")
-        assert "Invalid value for '--jobs'" in res.stderr
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("jobs", [[], ["--jobs", "8"]])
-    def test_a_small_run_never_forks(self, runner, tmp_path, monkeypatch, jobs):
+    @pytest.mark.parametrize("count", [None, 8])
+    def test_a_small_run_never_forks(self, runner, tmp_path, monkeypatch, cpus, count):
         # 300 replicates at n = 50 are 2 blocks: the benchmark's traced job.
         def refused():
             raise AssertionError("os.fork was called")
 
         monkeypatch.setattr(os, "fork", refused)
+        if count:
+            cpus(count)
         cfg = tmp_path / "scenario.cfg"
         write_scenario(cfg, ANCHOR_SCENARIO.replace("replicates = 10000", "replicates = 300"))
-        res, *artifacts = self.run(runner, cfg, tmp_path / "out", *jobs)
+        res, *artifacts = self.run(runner, cfg, tmp_path / "out")
         assert res.exit_code == 1, res.output
         assert tuple(artifacts) == library_outputs(cfg)
 
@@ -1158,10 +1174,9 @@ class TestSimulateJobs:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "out"
         proc = subprocess.run(
-            [sys.executable, "-c", FORK_COUNTING_SCRIPT, "simulate", str(cfg),
-             "--out", str(out), "--jobs", "3"],
+            [sys.executable, "-c", FORK_COUNTING_SCRIPT, "simulate", str(cfg), "--out", str(out)],
             capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120, check=False)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"exit hook: 2 forks\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"exit hook: forks [True]\n")
         assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) \
             == library_outputs(cfg)
 

@@ -554,8 +554,7 @@ class TestExactCdfMany:
 
     def test_a_nan_statistic_is_still_refused_in_a_filled_scope(self):
         with condks.kolmogorov._shared_law(50):
-            condks.kolmogorov._law_memo.get()[50].update(
-                self.many(50, np.array([0.2, math.nan, 0.1, 1.0])))
+            condks.kolmogorov._add_law(50, self.many(50, np.array([0.2, math.nan, 0.1, 1.0])))
             assert set(condks.kolmogorov._law_memo.get()[50]) == {0.1, 0.2}
             assert exact_cdf(50, 0.2) == exact_cdf_reference(50, 0.2)
             with pytest.raises(ValueError, match="^d must not be NaN$"):

@@ -415,6 +415,11 @@ FAILING_IN_PARTS = dict(
     null_family=ExponentialRate(), n=40, replicates=12 * 204, seed=11)
 
 
+class NeedsTwoArguments(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 class TestRunReplicatesInParts:
     """``run_replicates(scenario, jobs)`` runs contiguous parts of whole
     blocks, the first in this process and each other in a forked child,
@@ -495,17 +500,25 @@ class TestRunReplicatesInParts:
             run_replicates(power_scenario(), jobs=2)
         assert len(forks) == 1
 
-    def test_a_child_that_cannot_send_its_result_exits_with_status_1(self, forks, monkeypatch):
+    @pytest.mark.parametrize("error, message", [
+        # Pickles, but its class cannot be rebuilt from its args.
+        (lambda: NeedsTwoArguments(1, 2), "^NeedsTwoArguments: 1 and 2$"),
+        # Does not pickle at all.
+        (lambda: ValueError(lambda: None), "^ValueError: <function .*<lambda> at 0x"),
+    ])
+    def test_a_child_exception_that_does_not_pickle_keeps_its_type_name(
+            self, forks, monkeypatch, error, message):
         parent, run = os.getpid(), monte_carlo._run_range
 
-        def unpicklable_in_children(*args):
+        def failing_in_children(*args):
             if os.getpid() != parent:
-                raise ValueError(lambda: "a lambda does not pickle")
+                raise error()
             return run(*args)
 
-        monkeypatch.setattr(monte_carlo, "_run_range", unpicklable_in_children)
-        with pytest.raises(ChildProcessError, match="^a worker process exited with status 1$"):
+        monkeypatch.setattr(monte_carlo, "_run_range", failing_in_children)
+        with pytest.raises(RuntimeError, match=message):
             run_replicates(power_scenario(), jobs=2)
+        assert len(forks) == 1
 
     def test_the_first_parts_error_stops_the_children(self, forks, monkeypatch):
         parent = os.getpid()
