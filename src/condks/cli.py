@@ -36,7 +36,7 @@ from .kolmogorov import (
     exact_cdf,
     p_value,
 )
-from .monte_carlo import meta_test, power_from_statistics, run_replicates
+from .monte_carlo import _in_parts, meta_test, power_from_statistics, run_replicates
 from .specs import load_scenario, parse_family_spec
 from .testing import conditional_ks_test
 
@@ -66,6 +66,12 @@ def _write(lines: Iterable[str], out: str | None) -> None:
 
 
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy's opener decompresses these
+
+
+def _processes() -> int:
+    """Worker processes for a command: the CPUs this process may use, at
+    most the 2 measured (README, "Worker processes")."""
+    return min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _read_pairs(path: str) -> np.ndarray:
@@ -204,11 +210,21 @@ def cmd_table(n_max: int, alphas: tuple[float, ...], out: str | None) -> None:
     """Print a critical-value table as CSV, one row per sample size."""
     for a in alphas:  # in order, so the first bad level is the one named
         _level_target(_level(a, "--alpha"))
-    lines = ["n," + ",".join(repr(float(a)) for a in alphas)]
-    for size in range(1, n_max + 1):
-        cells = [repr(critical_value(size, a)) for a in alphas]
-        lines.append(f"{size}," + ",".join(cells))
-    _write(lines, out)
+    # Part i takes the rows n = i + 1 (mod parts): their cost grows with n.
+    # Below 64 cells a part, a fork costs more than it saves (README).
+    parts = max(1, min(_processes(), n_max * len(alphas) // 64))
+    done = _in_parts(_table_rows, [(range(i + 1, n_max + 1, parts), alphas)
+                                   for i in range(parts)])
+    rows = [""] * n_max
+    for i, part in enumerate(done):
+        rows[i::parts] = part
+    _write(["n," + ",".join(repr(float(a)) for a in alphas), *rows], out)
+
+
+def _table_rows(sizes: range, alphas: tuple[float, ...]) -> list[str]:
+    """The CSV rows of ``condks table`` for the sample sizes ``sizes``."""
+    return [f"{size}," + ",".join(repr(critical_value(size, a)) for a in alphas)
+            for size in sizes]
 
 
 @main.command("simulate")
@@ -228,12 +244,10 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
     _level(alpha, "--alpha")
     _level(meta_alpha, "--meta-alpha")
     config = load_scenario(scenario)
-    # Processes: the CPUs this process may use, at most the 2 measured (README).
-    jobs = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     # Up to AUTO_EXACT_LIMIT each part of the run puts its statistics' law,
     # batched, into the scope that both passes read.
     with _shared_law(config.n) if config.n <= AUTO_EXACT_LIMIT else contextlib.nullcontext():
-        stats = run_replicates(config, jobs)
+        stats = run_replicates(config, _processes())
         meta = meta_test(stats, config.n, alpha=meta_alpha)
         summary: dict = {"meta_test": meta.to_dict()}
         if not config.is_calibration:

@@ -17,9 +17,10 @@ but it spawns the same children; an index of 2^32 or more (a second
 spawn-key word) takes numpy's own path.
 
 ``run_replicates`` can split the replicate range into contiguous parts of
-whole blocks and run each part but the first in a forked child process;
-since every replicate has its own stream and block row, the statistics
-are the same bits for any number of parts.
+whole blocks and run each part but the first in a forked child process
+(``_in_parts``, which ``condks table`` shares); since every replicate has
+its own stream and block row, the statistics are the same bits for any
+number of parts.
 
 ``meta_test`` closes the loop on calibration: under the null the
 replicate statistics are i.i.d. from the exact finite-n law, so mapping
@@ -279,35 +280,22 @@ def _run_range(scenario: Scenario, first: int, last: int,
     return out, _exact_cdf_many(n, out) if law else {}
 
 
-def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
-    """Statistic values for every replicate, in replicate order.
+def _in_parts(fn, parts: list[tuple]) -> list:
+    """``[fn(*part) for part in parts]``, the first part run in this process
+    and each other one in a child made with ``os.fork`` (in turn here where
+    ``os.fork`` is missing).  A child pickles its result back over a pipe.
 
-    Replicate r draws its zetas, then its uniforms, from
-    ``replicate_rng(seed, r)``; the transform and the statistic then run
-    on a block of replicates at a time, with the same bits as one
-    replicate at a time.  A ValueError names the first failing replicate.
-
-    Where ``os.fork`` exists the blocks are split into up to ``jobs``
-    contiguous parts of at least 4 blocks: this process runs the first and
-    a forked child each other one, which sends back its values, so the
-    values do not depend on ``jobs``.  Of the parts' exceptions the lowest
-    part's is raised; a worker's comes back by its type and message only,
-    without traceback or cause, and as a RuntimeError naming its type if
-    it does not survive a pickle.  Inside a ``_shared_law(n)`` scope each
-    part also puts its law there.
+    Of the parts' exceptions the lowest part's is raised.  A child's comes
+    back by its type and message only, without traceback or cause, and as
+    a RuntimeError naming its type if it does not survive a pickle; a
+    child that dies raises ChildProcessError naming its exit status.  On
+    every path each child is killed if still running and reaped.
     """
-    _integer_at_least(jobs, 1, "jobs")
-    n, reps = scenario.n, scenario.replicates
-    rows = max(1, BLOCK_VALUES // n)
-    blocks = -(-reps // rows)
-    parts = max(1, min(jobs, blocks // 4)) if hasattr(os, "fork") else 1
-    cuts = [rows * (blocks * i // parts) for i in range(parts)] + [reps]
-    law = _law_scope_open(n)
-    if parts > 1:
-        import numpy.random  # noqa: F401  here: the children share it, not import it again
+    if not hasattr(os, "fork"):
+        return [fn(*part) for part in parts]
     pending = {}  # pid: the read end of its pipe, until it is reaped
     try:
-        for first, last in zip(cuts[1:], cuts[2:]):
+        for part in parts[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -319,7 +307,7 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
                 status = 1
                 try:
                     try:
-                        result = _run_range(scenario, first, last, law)
+                        result = fn(*part)
                     except Exception as exc:  # noqa: BLE001  raised in the parent
                         result = exc
                         try:
@@ -333,7 +321,7 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
                     os._exit(status)  # no atexit hook, no flush of inherited buffers
             os.close(write)
             pending[pid] = open(read, "rb")
-        results = [_run_range(scenario, 0, cuts[1], law)]
+        results = [fn(*parts[0])]
         for pid in list(pending):
             data = pending[pid].read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -348,6 +336,33 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
             pipe.close()
             os.kill(pid, 9)  # SIGKILL, without importing signal
             os.waitpid(pid, 0)
+    return results
+
+
+def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
+    """Statistic values for every replicate, in replicate order.
+
+    Replicate r draws its zetas, then its uniforms, from
+    ``replicate_rng(seed, r)``; the transform and the statistic then run
+    on a block of replicates at a time, with the same bits as one
+    replicate at a time.  A ValueError names the first failing replicate.
+
+    The blocks are split into up to ``jobs`` contiguous parts of at least
+    4 blocks, run by ``_in_parts`` (its docstring gives the error rules),
+    so the values do not depend on ``jobs``.  Inside a ``_shared_law(n)``
+    scope each part also puts its law there.
+    """
+    _integer_at_least(jobs, 1, "jobs")
+    n, reps = scenario.n, scenario.replicates
+    rows = max(1, BLOCK_VALUES // n)
+    blocks = -(-reps // rows)
+    parts = max(1, min(jobs, blocks // 4))
+    cuts = [rows * (blocks * i // parts) for i in range(parts)] + [reps]
+    law = _law_scope_open(n)
+    if parts > 1:
+        import numpy.random  # noqa: F401  here: the children share it, not import it again
+    results = _in_parts(_run_range, [(scenario, first, last, law)
+                                     for first, last in zip(cuts, cuts[1:])])
     for _, values in results if law else ():
         _add_law(n, values)
     return np.concatenate([stats for stats, _ in results])

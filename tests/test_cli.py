@@ -28,7 +28,8 @@ from condks import (
 )
 from condks import cli, kolmogorov, monte_carlo
 from condks.cli import main
-from test_golden import ANCHOR_SCENARIO, ANCHOR_STATISTICS_SHA256, ANCHOR_SUMMARY_SHA256
+from test_golden import (ANCHOR_SCENARIO, ANCHOR_STATISTICS_SHA256, ANCHOR_SUMMARY_SHA256,
+                         TABLE_N200_SHA256)
 
 
 @pytest.fixture
@@ -1075,17 +1076,18 @@ sys.exit(main(prog_name="condks"))
 """
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs ``os.sched_getaffinity`` reports."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return use
+
+
 class TestSimulateJobs:
     """condks simulate splits the replicates over as many processes as it
     may use CPUs, at most 2; the artifacts are the same bytes for any
     count."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Set how many CPUs ``os.sched_getaffinity`` reports."""
-        def use(count):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-        return use
 
     def run(self, runner, cfg, out):
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
@@ -1179,6 +1181,69 @@ class TestSimulateJobs:
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"exit hook: forks [True]\n")
         assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) \
             == library_outputs(cfg)
+
+
+def table_text(n_max, alphas=(0.2, 0.1, 0.05, 0.01)):
+    """condks table's CSV built one cell at a time, in row order."""
+    rows = [f"{n}," + ",".join(repr(kolmogorov.critical_value(n, a)) for a in alphas)
+            for n in range(1, n_max + 1)]
+    return "\n".join(["n," + ",".join(map(repr, alphas)), *rows]) + "\n"
+
+
+class TestTableWorkers:
+    """condks table splits its rows over as many processes as it may use
+    CPUs, at most 2, once each part gets 64 cells; the CSV is the same
+    bytes for any count."""
+
+    @pytest.mark.parametrize("n_max", [31, 32, 33, 200])
+    def test_same_bytes_for_any_cpu_count(self, runner, forks, cpus, n_max):
+        want = table_text(n_max)
+        for count in (1, 2, 8):
+            forks.clear()
+            cpus(count)
+            res = runner.invoke(main, ["table", "--n-max", str(n_max)])
+            assert (res.exit_code, res.stderr) == (0, "")
+            assert res.stdout == want
+            if n_max == 200:
+                assert hashlib.sha256(res.stdout_bytes).hexdigest() == TABLE_N200_SHA256
+            assert len(forks) == (min(count, 2) - 1 if n_max > 31 else 0)
+
+    def test_a_single_alpha_and_an_out_file(self, runner, tmp_path, forks, cpus):
+        # 150 cells of one alpha are 2 parts of 64 or more, as are 600.
+        one_alpha, four_alphas = table_text(150, alphas=(0.05,)), table_text(150)
+        for count in (1, 2, 8):
+            forks.clear()
+            cpus(count)
+            res = runner.invoke(main, ["table", "--n-max", "150", "--alpha", "0.05"])
+            assert (res.exit_code, res.stdout) == (0, one_alpha)
+            out = tmp_path / f"table{count}.csv"
+            res = runner.invoke(main, ["table", "--n-max", "150", "--out", str(out)])
+            assert (res.exit_code, res.stdout, res.stderr) == (0, "", "")
+            assert out.read_text() == four_alphas
+            assert len(forks) == 2 * (min(count, 2) - 1)
+
+    def test_a_worker_that_dies_is_a_data_error(self, runner, forks, cpus, monkeypatch):
+        parent, rows = os.getpid(), cli._table_rows
+
+        def dying_in_children(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return rows(*args)
+
+        monkeypatch.setattr(cli, "_table_rows", dying_in_children)
+        cpus(2)
+        res = runner.invoke(main, ["table", "--n-max", "40"])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "error: a worker process exited with status 3\n")
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_without_it_the_table_stays_in_one_process(self, runner, forks, monkeypatch,
+                                                       missing):
+        monkeypatch.delattr(os, missing)
+        res = runner.invoke(main, ["table", "--n-max", "40"])
+        assert (res.exit_code, res.stdout) == (0, table_text(40))
+        assert forks == []
 
 
 def write_wide_grid(path):
