@@ -31,6 +31,7 @@ hypothesis.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import os
 import pickle
@@ -291,9 +292,10 @@ def _in_parts(fn, parts: list[tuple]) -> list:
     child that dies raises ChildProcessError naming its exit status.  On
     every path each child is killed if still running and reaped.
     """
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or len(parts) < 2:
         return [fn(*part) for part in parts]
     pending = {}  # pid: the read end of its pipe, until it is reaped
+    gc.freeze()  # no collection writes to the pages the children share
     try:
         for part in parts[1:]:
             read, write = os.pipe()
@@ -336,6 +338,7 @@ def _in_parts(fn, parts: list[tuple]) -> list:
             pipe.close()
             os.kill(pid, 9)  # SIGKILL, without importing signal
             os.waitpid(pid, 0)
+        gc.unfreeze()
     return results
 
 

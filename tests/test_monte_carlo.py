@@ -1,4 +1,5 @@
 import errno
+import gc
 import math
 import os
 import re
@@ -550,6 +551,23 @@ class TestRunReplicatesInParts:
             run_replicates(power_scenario(), jobs=3)
         assert len(forks) == 1
         assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_the_collector_is_frozen_across_the_forks_only(self, forks):
+        # Frozen objects are left out of collections, which would otherwise
+        # write to the pages that the children share with this process.
+        frozen = monte_carlo._in_parts(gc.get_freeze_count, [(), ()])
+        assert frozen[0] > 0 and frozen[1] > 0
+        assert gc.get_freeze_count() == 0
+
+        def failing():
+            raise ValueError("a part failed")
+
+        with pytest.raises(ValueError, match="^a part failed$"):
+            monte_carlo._in_parts(failing, [(), ()])
+        assert len(forks) == 2
+        assert gc.get_freeze_count() == 0
+        assert monte_carlo._in_parts(gc.get_freeze_count, [()]) == [0]
+        assert len(forks) == 2
 
     def test_without_fork_the_run_stays_in_this_process(self, monkeypatch):
         sc = power_scenario()
