@@ -211,9 +211,8 @@ def cmd_table(n_max: int, alphas: tuple[float, ...], out: str | None) -> None:
     for a in alphas:  # in order, so the first bad level is the one named
         _level_target(_level(a, "--alpha"))
     # Part i takes the rows n = i + 1 (mod parts), as a row's cost grows
-    # with n.  A fork costs a few ms: fresh two-process tables broke even at
-    # 32 to 40 cells a part on a 2-vCPU machine and won from 56 on, so each
-    # part gets 64 cells at least (README, "Worker processes").
+    # with n.  Fresh 2-process tables broke even at 32-40 cells a part and
+    # won from 56 (README, "Worker processes"), so a part gets 64 at least.
     parts = max(1, min(_processes(), n_max * len(alphas) // 64))
     done = _in_parts(_table_rows, [(range(i + 1, n_max + 1, parts), alphas)
                                    for i in range(parts)])
