@@ -8,7 +8,6 @@ JSON, so everything pipes.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import os
@@ -26,7 +25,6 @@ import numpy as np
 
 from .conditional import csv_records, pit_transform
 from .kolmogorov import (
-    AUTO_EXACT_LIMIT,
     _level,
     _level_target,
     _shared_law,
@@ -245,9 +243,9 @@ def cmd_simulate(scenario: str, out_dir: str, alpha: float, meta_alpha: float) -
     _level(alpha, "--alpha")
     _level(meta_alpha, "--meta-alpha")
     config = load_scenario(scenario)
-    # Up to AUTO_EXACT_LIMIT each part of the run puts its statistics' law,
-    # batched, into the scope that both passes read.
-    with _shared_law(config.n) if config.n <= AUTO_EXACT_LIMIT else contextlib.nullcontext():
+    # Each part of the run puts its statistics' law, batched, into the
+    # scope that both passes read (up to AUTO_EXACT_LIMIT; see _shared_law).
+    with _shared_law(config.n):
         stats = run_replicates(config, _processes())
         meta = meta_test(stats, config.n, alpha=meta_alpha)
         summary: dict = {"meta_test": meta.to_dict()}

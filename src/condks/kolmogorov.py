@@ -24,11 +24,12 @@ m < 171.  The products are ``ndarray.dot`` calls: the same BLAS call as
 chunk of its ratios i/n, with a rescaling loop only over a chunk that
 ends below 1e-140.  Kept between calls are those chunks for the last n,
 which a critical-value search or a run of p-values asks for many times
-in a row, and inside a ``_shared_law()`` scope every value it computed.
-``condks simulate`` fills that scope with ``_exact_cdf_many``, each
-worker process for its own statistics: the same steps on stacks of H of
-one size, 0.08 s for 10^4 statistics at n = 50 against 0.18 s in calls,
-but 76 us for one value against 14 us.
+in a row.  A ``_shared_law(n)`` scope, which ``condks simulate`` and
+``power_estimate`` open, holds a map of values that ``exact_cdf`` reads
+and never writes: ``run_replicates`` fills it with ``_exact_cdf_many``,
+each worker process for its own statistics, by the same steps on stacks
+of H of one size, 0.08 s for 10^4 statistics at n = 50 against 0.18 s
+in calls, but 76 us for one value against 14 us.
 """
 
 from __future__ import annotations
@@ -219,26 +220,22 @@ _law_memo = contextvars.ContextVar("_law_memo", default=None)
 
 
 @contextlib.contextmanager
-def _shared_law(n: int | None = None):
-    """Keep each exact_cdf value computed in the ``with`` body for the rest
-    of it; on leaving, by exception too, an enclosing scope's come back.
-    Given n, the scope starts with an empty map for n, which
-    ``run_replicates`` fills through ``_add_law``."""
-    token = _law_memo.set({} if n is None else {n: {}})
+def _shared_law(n: int):
+    """Open, for the ``with`` body, an empty map of n's exact law if
+    n <= AUTO_EXACT_LIMIT, where ``p_value``'s auto mode reads that law,
+    and no map otherwise; on leaving, by exception too, an enclosing
+    scope's comes back.  ``run_replicates`` fills the map, and
+    ``exact_cdf`` only reads it."""
+    token = _law_memo.set({n: {}} if n <= AUTO_EXACT_LIMIT else None)
     try:
         yield
     finally:
         _law_memo.reset(token)
 
 
-def _law_scope_open(n: int) -> bool:
-    """Whether the innermost ``_shared_law`` scope keeps values for n."""
-    return n in (_law_memo.get() or {})
-
-
-def _add_law(n: int, values: dict[float, float]) -> None:
-    """Keep ``_exact_cdf_many(n, ...)``'s values in the open scope for n."""
-    _law_memo.get()[n].update(values)
+def _law_map(n: int) -> dict[float, float] | None:
+    """The innermost ``_shared_law`` scope's map for n, or None."""
+    return (_law_memo.get() or {}).get(n)
 
 
 def exact_cdf(n: int, d: float) -> float:
@@ -249,9 +246,9 @@ def exact_cdf(n: int, d: float) -> float:
     probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
     below 1e-16, which also caps the matrix size for large n.  Raises
     ValueError for a NaN d and for an n that is not an integer >= 1.
-    Inside a ``_shared_law()`` scope an (n, d) computed or filled in there
-    before returns its stored bits after those checks; outside, nothing is
-    kept.
+    Inside a ``_shared_law(n)`` scope a d its map holds returns the map's
+    bits after those checks; any other call computes its value and keeps
+    nothing.
     """
     n = _integer_at_least(n, 1, "sample size")
     if math.isnan(d):
@@ -264,9 +261,7 @@ def exact_cdf(n: int, d: float) -> float:
         return 0.0
     if 2.0 * math.exp(-2.0 * n * d * d) < 1e-16:
         return 1.0
-    memo = _law_memo.get()
-    known = None if memo is None else memo.get(n)
-    if known is not None and (value := known.get(d)) is not None:
+    if (memo := _law_memo.get()) is not None and (value := memo.get(n, {}).get(d)) is not None:
         return value
 
     k = int(nd) + 1
@@ -319,12 +314,7 @@ def exact_cdf(n: int, d: float) -> float:
             if s < _RESCALE_LO:
                 s *= _RESCALE_HI
                 eV -= 140
-    value = min(1.0, max(0.0, s * 10.0 ** eV))
-    if known is not None:
-        known[d] = value
-    elif memo is not None:
-        memo[n] = {d: value}
-    return value
+    return min(1.0, max(0.0, s * 10.0 ** eV))
 
 
 # Ratios per math.prod call.  64 keeps n <= 64 to one call.  The factor

@@ -42,7 +42,7 @@ import numpy as np
 
 from .conditional import ConditionalCdfFamily, _sorted_pit
 from .empirical import SortedUnitSample, ks_statistic_rows, ks_statistic_uniform
-from .kolmogorov import (_add_law, _exact_cdf_many, _integer_at_least, _law_scope_open, _level,
+from .kolmogorov import (_exact_cdf_many, _integer_at_least, _law_map, _level, _shared_law,
                          exact_cdf, p_value)
 from .testing import TestReport, _build_report
 
@@ -353,7 +353,7 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
     The blocks are split into up to ``jobs`` contiguous parts of at least
     4 blocks, run by ``_in_parts`` (its docstring gives the error rules),
     so the values do not depend on ``jobs``.  Inside a ``_shared_law(n)``
-    scope each part also puts its law there.
+    scope each part also puts its law into the scope's map, if it has one.
     """
     _integer_at_least(jobs, 1, "jobs")
     n, reps = scenario.n, scenario.replicates
@@ -361,13 +361,13 @@ def run_replicates(scenario: Scenario, jobs: int = 1) -> np.ndarray:
     blocks = -(-reps // rows)
     parts = max(1, min(jobs, blocks // 4))
     cuts = [rows * (blocks * i // parts) for i in range(parts)] + [reps]
-    law = _law_scope_open(n)
+    law = _law_map(n)
     if parts > 1:
         import numpy.random  # noqa: F401  here: the children share it, not import it again
-    results = _in_parts(_run_range, [(scenario, first, last, law)
+    results = _in_parts(_run_range, [(scenario, first, last, law is not None)
                                      for first, last in zip(cuts, cuts[1:])])
-    for _, values in results if law else ():
-        _add_law(n, values)
+    for _, values in results if law is not None else ():
+        law.update(values)
     return np.concatenate([stats for stats, _ in results])
 
 
@@ -410,6 +410,8 @@ def power_from_statistics(statistics: Iterable[float], n: int,
 
 def power_estimate(scenario: Scenario, alpha: float = 0.05) -> PowerEstimate:
     """Fraction of replicates the level-alpha test rejects, with its
-    binomial standard error sqrt(r (1 - r) / replicates)."""
+    binomial standard error sqrt(r (1 - r) / replicates).  The p-values
+    read the replicates' exact law, batched in a ``_shared_law`` scope."""
     _level(alpha, "alpha")
-    return power_from_statistics(run_replicates(scenario), scenario.n, alpha)
+    with _shared_law(scenario.n):
+        return power_from_statistics(run_replicates(scenario), scenario.n, alpha)

@@ -904,9 +904,10 @@ def library_outputs(cfg, alpha=0.05, meta_alpha=0.01):
 
 
 class TestSimulateSharedLaw:
-    """Up to AUTO_EXACT_LIMIT a run evaluates each statistic's exact law
-    once, batched per matrix size into the scope it opens, and the meta and
-    power passes read it there: every call is kept, and no H is built."""
+    """A run opens one law scope.  Up to AUTO_EXACT_LIMIT it evaluates each
+    statistic's exact law once, batched per matrix size into the scope's
+    map, and the meta and power passes read it there: every call is kept,
+    and no H is built.  Past it the scope holds no map."""
 
     @pytest.fixture
     def scopes(self, monkeypatch):
@@ -991,12 +992,12 @@ class TestSimulateSharedLaw:
         assert kolmogorov._law_memo.get() is None
         assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) == want
 
-    @pytest.mark.parametrize("kind, n, scopes_opened", [
+    @pytest.mark.parametrize("kind, n, maps_opened", [
         ("calibration", 12, 1), ("power", 140, 1), ("power", 141, 0),
         ("calibration", 141, 0),
     ])
     def test_scope_only_on_the_exact_law(self, runner, tmp_path, scopes,
-                                         kind, n, scopes_opened):
+                                         kind, n, maps_opened):
         if kind == "calibration":
             cfg = tmp_path / "calibration.cfg"
             write_scenario(cfg, CALIBRATION_CFG.replace("n = 12", f"n = {n}")
@@ -1007,10 +1008,12 @@ class TestSimulateSharedLaw:
         out = tmp_path / "out"
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert res.exit_code in (0, 1), res.output
-        assert len(scopes) == scopes_opened
-        for enclosing, opened_n, read in scopes:
-            assert (enclosing, opened_n) == (None, n)
+        assert [(enclosing, opened_n) for enclosing, opened_n, _ in scopes] == [(None, n)]
+        read = scopes[0][2]
+        if maps_opened:
             assert read == {n: kolmogorov._exact_cdf_many(n, self.written_statistics(out))}
+        else:
+            assert read is None
         assert kolmogorov._law_memo.get() is None
         assert ((out / "statistics.csv").read_bytes(), (out / "summary.json").read_bytes()) == want
 
@@ -1028,9 +1031,9 @@ class TestSimulateSharedLaw:
         res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
         assert (res.exit_code, res.stderr) == (2, "error: power pass failed\n")
         assert [(enclosing, n) for enclosing, n, _ in scopes] == [(None, 30)]
-        # The batch's values at n = 30, and the meta report's p-value at
-        # n = 10 replicates.
-        assert set(inside[0]) == {30, 10}
+        # The batch's values at n = 30 only: the meta report's p-value at
+        # n = 10 replicates is not kept.
+        assert list(inside[0]) == [30]
         assert kolmogorov._law_memo.get() is None
         assert not out.exists()
 

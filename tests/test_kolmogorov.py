@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import threading
 
 import mpmath
@@ -358,87 +360,100 @@ def _bits(values) -> list[int]:
 
 
 class TestSharedLaw:
-    """Inside ``_shared_law()`` each (n, d) computes its value once and
-    returns the same bits again; outside, nothing is kept."""
+    """``_shared_law(n)`` opens an empty map of n's law up to
+    AUTO_EXACT_LIMIT and no map past it.  ``exact_cdf`` returns a value the
+    map holds after all its checks, computes any other, and stores none; on
+    leaving a scope, the enclosing one comes back."""
 
     memo = condks.kolmogorov._law_memo
     shared_law = staticmethod(condks.kolmogorov._shared_law)
+    law_map = staticmethod(condks.kolmogorov._law_map)
 
     def test_same_bits_inside_a_scope(self):
-        points = [(n, d) for n, d in bit_sweep_points() if n <= 200 or n == 1000]
-        # Shortcut regions at both ends, for every n of the sweep.
-        points += [(n, d) for n in [*range(1, 201), 1000]
+        # Every call misses the filled map: the law's bits, and the map
+        # left as it was.
+        points = [(n, d) for n, d in bit_sweep_points() if n <= AUTO_EXACT_LIMIT]
+        points += [(n, d) for n in range(1, AUTO_EXACT_LIMIT + 1)
                    for d in (0.0, 1.0, 1.5, math.nextafter(_dkw_cutoff(n), math.inf))]
+        points.sort(key=operator.itemgetter(0))
+        filled = {0.123456789: 0.25}
+        assert all(d not in filled for _, d in points)
         outside = _bits([exact_cdf(n, d) for n, d in points])
-        with self.shared_law():
-            first = _bits([exact_cdf(n, d) for n, d in points])
-            again = _bits([exact_cdf(n, d) for n, d in points])
-        assert first == outside
-        assert again == outside
+        inside = []
+        for n, group in itertools.groupby(points, operator.itemgetter(0)):
+            with self.shared_law(n):
+                self.law_map(n).update(filled)
+                inside += [exact_cdf(n, d) for _, d in group]
+                assert self.memo.get() == {n: filled}
+        assert _bits(inside) == outside
         assert self.memo.get() is None
 
-    def test_checks_run_before_the_lookup(self):
+    def test_checks_run_before_the_lookup(self, builds):
+        # Filled values the law does not give, so a returned one is a hit.
         narrow = float(np.float32(0.1))
-        with self.shared_law():
-            exact_cdf(200, 0.1)
+        filled = {0.1: 0.25, narrow: 0.5, 1.0: 0.75, 0.0025: 0.75, 0.5: 0.75}
+        with self.shared_law(140):
+            self.law_map(140).update(filled)
+            assert exact_cdf(140, 0.1) == 0.25
+            assert exact_cdf(np.int64(140), np.float32(0.1)) == 0.5
             with pytest.raises(ValueError, match="^d must not be NaN$"):
-                exact_cdf(200, math.nan)
-            for n in (0, 200.0, "200"):
+                exact_cdf(140, math.nan)
+            for n in (0, 140.0, "140"):
                 with pytest.raises(ValueError, match="sample size"):
                     exact_cdf(n, 0.1)
-            assert exact_cdf(200, 1.0) == 1.0
-            assert exact_cdf(200, 0.0025) == 0.0  # nd <= 1/2
-            assert exact_cdf(200, 0.5) == 1.0  # past the DKW cutoff
-            assert exact_cdf(np.int64(200), np.float32(0.1)) == exact_cdf_reference(200, narrow)
-            # Only the two matrix values are kept, under a Python int and float.
-            kept = self.memo.get()
-            assert kept == {200: {0.1: exact_cdf_reference(200, 0.1),
-                                  narrow: exact_cdf_reference(200, narrow)}}
-            assert all(type(d) is float for d in kept[200])
+            assert exact_cdf(140, 1.0) == 1.0
+            assert exact_cdf(140, 0.0025) == 0.0  # nd <= 1/2
+            assert exact_cdf(140, 0.5) == 1.0  # past the DKW cutoff
+            assert self.memo.get() == {140: filled}
+        assert builds == []
 
     def test_nested_scopes_and_an_exception_restore_the_outer_memo(self):
         assert self.memo.get() is None
-        with self.shared_law():
-            exact_cdf(50, 0.2)
+        with self.shared_law(50):
             outer = self.memo.get()
-            assert outer == {50: {0.2: exact_cdf_reference(50, 0.2)}}
-            with self.shared_law():
-                assert self.memo.get() == {}
-                exact_cdf(60, 0.2)
-                assert set(self.memo.get()) == {60}
+            assert outer == {50: {}}
+            with self.shared_law(60):
+                assert self.memo.get() == {60: {}}
+                assert self.law_map(50) is None
+            assert self.memo.get() is outer
+            with self.shared_law(AUTO_EXACT_LIMIT + 1):
+                assert self.memo.get() is None
             assert self.memo.get() is outer
             with pytest.raises(RuntimeError, match="inner"):
-                with self.shared_law():
-                    exact_cdf(70, 0.2)
+                with self.shared_law(70):
                     raise RuntimeError("inner")
             assert self.memo.get() is outer
-            assert set(outer) == {50}
+            assert outer == {50: {}}
         assert self.memo.get() is None
 
     def test_one_scope_keeps_each_n_apart(self, builds):
+        # A map of n = 50's law serves n = 50 only; n = 51 computes each time.
         ds = [0.05, 0.1, 0.2, 0.3]
-        want = {n: _bits([exact_cdf_reference(n, d) for d in ds]) for n in (50, 51)}
-        with self.shared_law():
+        want = {n: [exact_cdf_reference(n, d) for d in ds] for n in (50, 51)}
+        with self.shared_law(50):
+            self.law_map(50).update(zip(ds, want[50]))
             for _ in range(2):
                 for n in (50, 51, np.int64(50)):
-                    assert _bits([exact_cdf(n, d) for d in ds]) == want[int(n)]
-            assert sorted(self.memo.get()) == [50, 51]
+                    assert _bits([exact_cdf(n, d) for d in ds]) == _bits(want[int(n)])
+            assert self.law_map(51) is None
+            assert self.memo.get() == {50: dict(zip(ds, want[50]))}
         assert len(builds) == 2 * len(ds)
 
     def test_two_threads_at_different_n(self):
-        # Each step waits for the other thread, so the scopes interleave.
+        # Each step waits for the other thread, so the scopes interleave;
+        # each thread's map holds values only it would return.
         ds = [0.05 + 0.01 * i for i in range(20)]
-        want = {n: _bits([exact_cdf_reference(n, d) for d in ds]) * 2 for n in (50, 51)}
         step = threading.Barrier(2, timeout=30)
         got = {}
 
         def run(n):
-            with self.shared_law():
+            with self.shared_law(n):
+                self.law_map(n).update(dict.fromkeys(ds, n / 100))
                 values = []
                 for d in ds + ds:
                     step.wait()
                     values.append(exact_cdf(n, d))
-                got[n] = (_bits(values), sorted(self.memo.get()))
+                got[n] = (values, self.memo.get())
 
         threads = [threading.Thread(target=run, args=(n,)) for n in (50, 51)]
         for thread in threads:
@@ -446,19 +461,34 @@ class TestSharedLaw:
         for thread in threads:
             thread.join(timeout=60)
             assert not thread.is_alive()
-        assert got == {n: (want[n], [n]) for n in (50, 51)}
+        assert got == {n: ([n / 100] * 40, {n: dict.fromkeys(ds, n / 100)}) for n in (50, 51)}
         assert self.memo.get() is None
 
     def test_outside_a_scope_each_call_builds_h(self, builds):
         exact_cdf(50, 0.2)
         exact_cdf(50, 0.2)
         assert len(builds) == 2
-        with self.shared_law():
+        with self.shared_law(50):
             for _ in range(3):
-                exact_cdf(50, 0.2)
-        assert len(builds) == 3
+                exact_cdf(50, 0.2)  # a miss, computed each time and not kept
+            assert len(builds) == 5
+            assert self.law_map(50) == {}
+            self.law_map(50)[0.2] = exact_cdf(50, 0.2)
+            exact_cdf(50, 0.2)
+            assert len(builds) == 6
         exact_cdf(50, 0.2)
+        assert len(builds) == 7
+
+    def test_no_map_past_the_auto_limit(self, builds):
+        with self.shared_law(AUTO_EXACT_LIMIT):
+            assert self.memo.get() == {AUTO_EXACT_LIMIT: {}}
+        for n in (AUTO_EXACT_LIMIT + 1, 1000):
+            with self.shared_law(n):
+                assert self.memo.get() is None
+                assert self.law_map(n) is None
+                assert exact_cdf(n, 0.05) == exact_cdf(n, 0.05) == exact_cdf_reference(n, 0.05)
         assert len(builds) == 4
+        assert self.memo.get() is None
 
 
 def _in_matrix_region(n: int, d: float) -> bool:
@@ -554,7 +584,8 @@ class TestExactCdfMany:
 
     def test_a_nan_statistic_is_still_refused_in_a_filled_scope(self):
         with condks.kolmogorov._shared_law(50):
-            condks.kolmogorov._add_law(50, self.many(50, np.array([0.2, math.nan, 0.1, 1.0])))
+            condks.kolmogorov._law_map(50).update(
+                self.many(50, np.array([0.2, math.nan, 0.1, 1.0])))
             assert set(condks.kolmogorov._law_memo.get()[50]) == {0.1, 0.2}
             assert exact_cdf(50, 0.2) == exact_cdf_reference(50, 0.2)
             with pytest.raises(ValueError, match="^d must not be NaN$"):

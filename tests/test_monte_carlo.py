@@ -629,6 +629,32 @@ class TestPowerEstimate:
         with pytest.raises(ValueError):
             power_estimate(calibration_scenario(replicates=5), alpha=0.0)
 
+    @pytest.mark.parametrize("n", [37, 140])
+    def test_the_power_pass_reads_the_batched_law(self, monkeypatch, n):
+        # The value from the library's parts outside any scope; then, with
+        # the statistics' law batched into its scope, no p-value builds H.
+        sc = power_scenario(n=n, replicates=300)
+        want = power_from_statistics(run_replicates(sc), n, 0.05)
+        builds, pass_builds = [], []
+        build, power = condks.kolmogorov._transition_matrix, monte_carlo.power_from_statistics
+
+        def counted_build(k, h):
+            builds.append(k)
+            return build(k, h)
+
+        def power_pass(*args):
+            start = len(builds)
+            result = power(*args)
+            pass_builds.append(len(builds) - start)
+            return result
+
+        monkeypatch.setattr(condks.kolmogorov, "_transition_matrix", counted_build)
+        monkeypatch.setattr(monte_carlo, "power_from_statistics", power_pass)
+        assert condks.kolmogorov._law_memo.get() is None
+        assert power_estimate(sc, alpha=0.05) == want
+        assert pass_builds == [0]
+        assert condks.kolmogorov._law_memo.get() is None
+
     def test_power_from_statistics_counts_p_values(self):
         stats = run_replicates(calibration_scenario(n=20, replicates=300, seed=3))
         est = power_from_statistics(stats, 20, 0.1)
