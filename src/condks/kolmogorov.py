@@ -261,7 +261,9 @@ def exact_cdf(n: int, d: float) -> float:
         return 0.0
     if 2.0 * math.exp(-2.0 * n * d * d) < 1e-16:
         return 1.0
-    if (memo := _law_memo.get()) is not None and (value := memo.get(n, {}).get(d)) is not None:
+    memo = _law_memo.get()
+    known = None if memo is None else memo.get(n)
+    if known is not None and (value := known.get(d)) is not None:
         return value
 
     k = int(nd) + 1

@@ -9,7 +9,7 @@ OpenBLAS's kernels on this CPU, and compares them with the constants of
 ``test_golden``.  A case skips, naming why, when its setting cannot take
 on this CPU or did not take in the child.  The table golden is not here:
 the exact law's last bits, and so the table's bytes, depend on the CPU
-path (README, "Reproducibility").
+path, as README's paragraph on reproducibility says.
 """
 
 import json
