@@ -43,7 +43,7 @@ SETTINGS = {
 # CPU features.  Line 2 is the goldens' bytes.
 CHILD_SCRIPT = """\
 import ctypes, hashlib, json, os, sys
-import numpy as np
+import numpy  # loads the OpenBLAS whose core corename() reads
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:
