@@ -28,8 +28,10 @@ in a row.  A ``_shared_law(n)`` scope, which ``condks simulate`` and
 ``power_estimate`` open, holds a map of values that ``exact_cdf`` reads
 and never writes: ``run_replicates`` fills it with ``_exact_cdf_many``,
 each worker process for its own statistics, by the same steps on stacks
-of H of one size, 0.08 s for 10^4 statistics at n = 50 against 0.18 s
-in calls, but 76 us for one value against 14 us.
+of H of one size, 0.07 s for 10^4 statistics at n = 50 against 0.17 s
+in calls, but 74 us for one value against 14 us.  A stack that would
+rescale goes whole to ``exact_cdf``; H's rows sum to at most e, so up to
+n = 322 (e^322 < 1e140) only a small power can rescale.
 """
 
 from __future__ import annotations
@@ -149,20 +151,10 @@ def _transition_matrix(k: int, h: float) -> np.ndarray:
     return H
 
 
-def _rescaled(A: np.ndarray, e: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """A stack of powers and their exponents of ten, each slice rescaled as
-    ``exact_cdf`` rescales V and P: 1e-140 over 1e140, 1e140 in (0, 1e-140)."""
-    v = A[:, c, c]
-    if _RESCALE_LO <= min(w := v.tolist()) and max(w) <= _RESCALE_HI:
-        return A, e
-    up, down = v > _RESCALE_HI, (0.0 < v) & (v < _RESCALE_LO)
-    A = A * np.where(up, _RESCALE_LO, np.where(down, _RESCALE_HI, 1.0))[:, None, None]
-    return A, e + 140 * (up.astype(np.int64) - down)
-
-
 def _stack_cdf(n: int, k: int, h: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     """``exact_cdf``'s bits for the d of k = int(nd) + 1, h = k - nd, by its
-    steps on a stack of H; NaN where its n!/n^n loop would rescale."""
+    steps on a stack of H; NaN where it would rescale: all, at the first
+    central entry of V or P outside [1e-140, 1e140], else those past n!/n^n."""
     m, c = 2 * k - 1, k - 1
     fact, toeplitz, powers = _TABLES if m < 171 else _tables(m + 1)
     H = np.repeat(toeplitz[None, :m, :m], h.size, axis=0)
@@ -174,28 +166,28 @@ def _stack_cdf(n: int, k: int, h: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     H[:, :, 0] = first_column
     H[:, m - 1, :] = first_column[:, ::-1]
     H[:, m - 1, 0] = corner / fact[m]
-    eV = eP = np.zeros(h.size, dtype=np.int64)
     V, P, g = None, H, n
     while g > 0:
         if g & 1:
-            V, eV = _rescaled(P if V is None else V @ P, eV + eP, c)
+            V = P if V is None else V @ P
         g >>= 1
         if g:
-            P, eP = _rescaled(P @ P, 2 * eP, c)
+            P = P @ P
+        w = P[:, c, c].tolist() + (P if V is None else V)[:, c, c].tolist()
+        if not (_RESCALE_LO <= min(w) and max(w) <= _RESCALE_HI):
+            return np.full(h.size, np.nan)
     # Products from the left, as math.prod takes each chunk.  A kept one is
     # at least 1e-140 > 0, so exact_cdf's max(0.0, .) leaves it as it is.
     s = np.column_stack((V[:, c, c], np.broadcast_to(ratios, (h.size, n))))
     s = np.multiply.accumulate(s, axis=1)[:, n]
-    kept = s >= _RESCALE_LO
-    scale = np.ones(h.size)
-    scale[kept & (eV != 0)] = [10.0 ** e for e in eV[kept & (eV != 0)].tolist()]
-    return np.where(kept, np.minimum(1.0, s * scale), np.nan)
+    return np.where(s >= _RESCALE_LO, np.minimum(1.0, s), np.nan)
 
 
 def _exact_cdf_many(n: int, ds) -> dict[float, float]:
     """{d: exact_cdf(n, d)}, same bits, for each distinct d of ``ds`` where
     exact_cdf powers H (d < 1, nd > 1/2, short of the DKW cutoff).  The d of
-    one k are powered in stacks of H of at most 128 kB, as is n!/n^n."""
+    one k are powered in stacks of H of at most 128 kB, as is n!/n^n; a d
+    ``_stack_cdf`` leaves NaN, where exact_cdf rescales, is exact_cdf's."""
     d = np.sort(np.asarray(ds, dtype=float))  # np.unique imports numpy.ma
     keep = (n * d > 0.5) & (d < 1.0)
     keep[1:] &= d[1:] != d[:-1]
@@ -241,7 +233,8 @@ def _law_map(n: int) -> dict[float, float] | None:
 def exact_cdf(n: int, d: float) -> float:
     """P(D_n <= d) for the one-sample KS statistic at sample size n.
 
-    Exact up to double-precision rounding.  Returns 0 for
+    Within 3.4e-15 relative (15 eps) of a 40-digit oracle at six points,
+    n = 20 to 512 (``tests/test_law_accuracy.py``).  Returns 0 for
     d <= 1/(2n) (the statistic's lower bound is attained with
     probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
     below 1e-16, which also caps the matrix size for large n.  Raises
@@ -346,7 +339,8 @@ def p_value(statistic: float, n: int, mode: str = "auto") -> float:
 
     mode="exact" uses the finite-n law, mode="asymptotic" uses
     1 - Q(sqrt(n) * statistic), and mode="auto" picks the exact law
-    for n <= 140 and the asymptotic one beyond.
+    for n <= 140 and the asymptotic one beyond.  The exact tail carries
+    ``exact_cdf``'s error times cdf / p: 3.5e-12 relative at p = 1.7e-4.
     """
     if not 0.0 <= statistic <= 1.0:
         raise ValueError(f"statistic must lie in [0, 1], got {statistic}")

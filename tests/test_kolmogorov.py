@@ -54,10 +54,14 @@ def _transition_matrix_reference(k: int, h: float) -> np.ndarray:
     return H
 
 
-def exact_cdf_reference(n: int, d: float, rescales: list | None = None) -> float:
+def exact_cdf_reference(n: int, d: float, rescales: list | None = None,
+                        powers: list | None = None) -> float:
     """The MTW law with the n!/n^n factor applied one rescaled step at a
     time and every scalar read straight from the matrices.  Each i at
-    which that loop rescales is appended to ``rescales``, if given."""
+    which that loop rescales is appended to ``rescales``, and each power
+    rescale ("V" or "P", then "+" for a large entry or "-" for a small one)
+    to ``powers``, if given."""
+    powers = [] if powers is None else powers
     if d <= 0.0:
         return 0.0
     if d >= 1.0:
@@ -81,9 +85,11 @@ def exact_cdf_reference(n: int, d: float, rescales: list | None = None) -> float
             eV += eP
             if V[c, c] > 1e140:
                 V *= 1e-140
+                powers.append("V+")
                 eV += 140
             elif 0.0 < V[c, c] < 1e-140:
                 V *= 1e140
+                powers.append("V-")
                 eV -= 140
         g >>= 1
         if g:
@@ -91,9 +97,11 @@ def exact_cdf_reference(n: int, d: float, rescales: list | None = None) -> float
             eP *= 2
             if P[c, c] > 1e140:
                 P *= 1e-140
+                powers.append("P+")
                 eP += 140
             elif 0.0 < P[c, c] < 1e-140:
                 P *= 1e140
+                powers.append("P-")
                 eP -= 140
     s = V[c, c]
     for i in range(1, n + 1):
@@ -156,6 +164,18 @@ def bit_sweep_points() -> list[tuple[int, float]]:
 # (n, d) whose n!/n^n loop first rescales at i = 64, the last ratio of the
 # first chunk (checked in test_chunk_end_point_rescales_on_a_chunk_end).
 CHUNK_END_RESCALE = (82, 1.05 / 164)
+
+# {n: d values} at which exact_cdf rescales its powers: V alone, upward, at
+# n = 330; P alone, upward at n = 512 and downward at n = 256; both, P
+# first, at n = 777 and V first at n = 1000 (checked in
+# test_power_rescale_points).
+POWER_RESCALES = {
+    330: [0.028, 0.0285, 0.029],
+    512: [0.0034, 0.0035, 0.0038],
+    256: [(1.0 + 1e-9) / 512, (1.0 + 1e-4) / 512, 0.00197265625],
+    777: [0.02, 0.05],
+    1000: [0.9 / math.sqrt(1000)],
+}
 
 
 class TestAsymptoticCdf:
@@ -309,6 +329,15 @@ class TestExactCdf:
             assert (rescales == []) == (case == "prod")
         assert type(got) is float
         assert got == want
+
+    def test_power_rescale_points(self):
+        kinds = {330: ["V+"], 512: ["P+"], 256: ["P-"], 777: ["P+", "V+"],
+                 1000: ["V+", "P+"]}
+        for n, ds in POWER_RESCALES.items():
+            for d in ds:
+                powers = []
+                assert exact_cdf(n, d) == exact_cdf_reference(n, d, powers=powers)
+                assert list(dict.fromkeys(powers)) == kinds[n], (n, d)
 
     def test_chunk_end_point_rescales_on_a_chunk_end(self):
         rescales = []
@@ -491,6 +520,12 @@ class TestSharedLaw:
         assert self.memo.get() is None
 
 
+def _stack_key(n: int, d: float) -> tuple[int, int, float]:
+    """n, k and h of d, as ``_exact_cdf_many`` hands them to ``_stack_cdf``."""
+    k = int(n * d) + 1
+    return n, k, k - n * d
+
+
 def _in_matrix_region(n: int, d: float) -> bool:
     """Whether exact_cdf(n, d) powers H: d not NaN, d < 1, nd > 1/2, and
     the DKW bound, judged by math.exp as exact_cdf judges it (numpy's exp
@@ -507,12 +542,13 @@ class TestExactCdfMany:
     many = staticmethod(condks.kolmogorov._exact_cdf_many)
 
     def sweep(self):
-        """{n: d values} over n = 1..200 and 1000: the whole range of d,
-        k-group edges (nd an integer and its neighbours), the DKW edge, the
-        rescaling points, duplicates and the values the batch skips."""
+        """{n: d values} over n = 1..200 and the n of POWER_RESCALES: the
+        whole range of d, k-group edges (nd an integer and its neighbours),
+        the DKW edge, the rescaling points, duplicates and the values the
+        batch skips."""
         up, down = math.inf, -math.inf
         rng = np.random.default_rng(24)
-        sweep = {n: [] for n in [*range(1, 201), 1000]}
+        sweep = {n: [] for n in [*range(1, 201), *POWER_RESCALES]}
         for n, d in bit_sweep_points():
             if n in sweep:
                 sweep[n].append(d)
@@ -530,24 +566,29 @@ class TestExactCdfMany:
                 ds.append(edge)
                 edge = math.nextafter(edge, up)
             ds += ds[:5] + [math.nan, 1.0, 1.5, 0.0, -0.0, lower]
-        # Powers rescaled in the stack, short of the n!/n^n loop's rescale.
-        sweep[1000] += [0.99 * _dkw_cutoff(1000), 0.9 / math.sqrt(1000)]
+        # Powers exact_cdf rescales, short of the n!/n^n loop's rescale.
+        sweep[1000].append(0.99 * _dkw_cutoff(1000))
+        for n, ds in POWER_RESCALES.items():
+            sweep[n] += ds
         return sweep
 
     def test_bits_match_the_scalar_law(self, monkeypatch):
-        fallbacks, rescaled = [], []
-        rescale = condks.kolmogorov._rescaled
+        # Every d of a stack that came back NaN, refused while powering or
+        # past the n!/n^n loop's rescale, is answered by exact_cdf, and no
+        # other d is.
+        fallbacks, refused = set(), set()
+        stack = condks.kolmogorov._stack_cdf
 
-        def counted_rescale(A, e, c):
-            out = rescale(A, e, c)
-            rescaled.append(out[0] is not A)
+        def counted_stack(n, k, h, ratios):
+            out = stack(n, k, h, ratios)
+            refused.update((n, k, x) for x, v in zip(h.tolist(), out.tolist()) if math.isnan(v))
             return out
 
         def counted_law(n, d):
-            fallbacks.append((n, d))
+            fallbacks.add(_stack_key(n, d))
             return self.law(n, d)
 
-        monkeypatch.setattr(condks.kolmogorov, "_rescaled", counted_rescale)
+        monkeypatch.setattr(condks.kolmogorov, "_stack_cdf", counted_stack)
         for n, ds in self.sweep().items():
             monkeypatch.setattr(condks.kolmogorov, "exact_cdf", counted_law)
             got = self.many(n, np.array(ds))
@@ -555,11 +596,12 @@ class TestExactCdfMany:
             assert set(got) == {d for d in ds if _in_matrix_region(n, d)}, n
             assert _bits(list(got.values())) == _bits([self.law(n, d) for d in got]), n
             assert all(type(d) is float for d in got)
-        # Both rescaling routes ran: a product n!/n^n below 1e-140 takes the
-        # scalar call, and slices of a stack rescale while powering.
-        assert CHUNK_END_RESCALE in fallbacks
-        assert {n for n, _ in fallbacks} >= {1000}
-        assert any(rescaled)
+        assert fallbacks == refused
+        # Both routes ran: a product n!/n^n below 1e-140, and each point
+        # whose powers exact_cdf rescales.
+        assert _stack_key(*CHUNK_END_RESCALE) in fallbacks
+        for n, ds in POWER_RESCALES.items():
+            assert {_stack_key(n, d) for d in ds} <= fallbacks, n
 
     def test_a_group_larger_than_one_stack(self, monkeypatch):
         stacks = []
