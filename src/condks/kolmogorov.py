@@ -30,8 +30,8 @@ and never writes: ``run_replicates`` fills it with ``_exact_cdf_many``,
 each worker process for its own statistics, by the same steps on stacks
 of H of one size, 0.07 s for 10^4 statistics at n = 50 against 0.17 s
 in calls, but 74 us for one value against 14 us.  A stack that would
-rescale goes whole to ``exact_cdf``; H's rows sum to at most e, so up to
-n = 322 (e^322 < 1e140) only a small power can rescale.
+rescale is left for ``exact_cdf`` to compute when read; H's rows sum to at
+most e, so up to n = 322 (e^322 < 1e140) only a small power can rescale.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _transition_matrix(k: int, h: float) -> np.ndarray:
 
 def _stack_cdf(n: int, k: int, h: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     """``exact_cdf``'s bits for the d of k = int(nd) + 1, h = k - nd, by its
-    steps on a stack of H; NaN where it would rescale: all, at the first
+    steps on a stack of H; NaN where exact_cdf rescales: all, at the first
     central entry of V or P outside [1e-140, 1e140], else those past n!/n^n."""
     m, c = 2 * k - 1, k - 1
     fact, toeplitz, powers = _TABLES if m < 171 else _tables(m + 1)
@@ -185,9 +185,9 @@ def _stack_cdf(n: int, k: int, h: np.ndarray, ratios: np.ndarray) -> np.ndarray:
 
 def _exact_cdf_many(n: int, ds) -> dict[float, float]:
     """{d: exact_cdf(n, d)}, same bits, for each distinct d of ``ds`` where
-    exact_cdf powers H (d < 1, nd > 1/2, short of the DKW cutoff).  The d of
-    one k are powered in stacks of H of at most 128 kB, as is n!/n^n; a d
-    ``_stack_cdf`` leaves NaN, where exact_cdf rescales, is exact_cdf's."""
+    exact_cdf powers H (d < 1, nd > 1/2, short of the DKW cutoff) without
+    rescaling.  The d of one k are powered in stacks of H of at most 128 kB,
+    as is n!/n^n; exact_cdf computes any other d when it is read."""
     d = np.sort(np.asarray(ds, dtype=float))  # np.unique imports numpy.ma
     keep = (n * d > 0.5) & (d < 1.0)
     keep[1:] &= d[1:] != d[:-1]
@@ -201,10 +201,8 @@ def _exact_cdf_many(n: int, ds) -> dict[float, float]:
     for group, hs in zip(k[starts].tolist(), np.split(h, starts[1:])):
         size = max(1, 16384 // max((2 * group - 1) ** 2, n + 1))
         values += [_stack_cdf(n, group, hs[i:i + size], ratios) for i in range(0, hs.size, size)]
-    values = np.concatenate(values)
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        values[i] = exact_cdf(n, d.item(i))
-    return dict(zip(d.tolist(), values.tolist()))
+    values = np.concatenate(values).tolist()
+    return {x: v for x, v in zip(d.tolist(), values) if not math.isnan(v)}
 
 
 # {n: {d: P(D_n <= d)}} of this thread's innermost _shared_law scope, or None.
@@ -233,10 +231,10 @@ def _law_map(n: int) -> dict[float, float] | None:
 def exact_cdf(n: int, d: float) -> float:
     """P(D_n <= d) for the one-sample KS statistic at sample size n.
 
-    Within 3.4e-15 relative (15 eps) of a 40-digit oracle at six points,
-    n = 20 to 512 (``tests/test_law_accuracy.py``).  Returns 0 for
-    d <= 1/(2n) (the statistic's lower bound is attained with
-    probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
+    Within 3.4e-15 relative (15 eps) of an oracle good to 40 digits at
+    eight points, n = 20 to 512, m = 3 to 71 (``tests/test_law_accuracy.py``).
+    Returns 0 for d <= 1/(2n) (the statistic's lower bound is attained
+    with probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
     below 1e-16, which also caps the matrix size for large n.  Raises
     ValueError for a NaN d and for an n that is not an integer >= 1.
     Inside a ``_shared_law(n)`` scope a d its map holds returns the map's

@@ -6,6 +6,8 @@ import threading
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condks.kolmogorov
 from condks import (
@@ -526,6 +528,13 @@ def _stack_key(n: int, d: float) -> tuple[int, int, float]:
     return n, k, k - n * d
 
 
+def _ulps_from(d: float, steps: int) -> float:
+    """The float ``steps`` representable values above d (below, if negative)."""
+    for _ in range(abs(steps)):
+        d = math.nextafter(d, math.copysign(math.inf, steps))
+    return d
+
+
 def _in_matrix_region(n: int, d: float) -> bool:
     """Whether exact_cdf(n, d) powers H: d not NaN, d < 1, nd > 1/2, and
     the DKW bound, judged by math.exp as exact_cdf judges it (numpy's exp
@@ -536,7 +545,8 @@ def _in_matrix_region(n: int, d: float) -> bool:
 
 class TestExactCdfMany:
     """The batched law gives exact_cdf's bits for each distinct d in the
-    matrix region, and nothing for the d exact_cdf answers without H."""
+    matrix region that exact_cdf does not rescale, and nothing for the
+    other d, which exact_cdf computes when they are read."""
 
     law = staticmethod(condks.kolmogorov.exact_cdf)
     many = staticmethod(condks.kolmogorov._exact_cdf_many)
@@ -572,11 +582,14 @@ class TestExactCdfMany:
             sweep[n] += ds
         return sweep
 
-    def test_bits_match_the_scalar_law(self, monkeypatch):
-        # Every d of a stack that came back NaN, refused while powering or
-        # past the n!/n^n loop's rescale, is answered by exact_cdf, and no
-        # other d is.
-        fallbacks, refused = set(), set()
+    def check_batch(self, n, ds):
+        """Check the batch's contract on ``ds`` at n and return the (n, k, h)
+        of the d it left out.  Its map holds only d of the matrix region,
+        each with exact_cdf's bits; it leaves out exactly the d of stacks
+        ``_stack_cdf`` left NaN, where exact_cdf rescales; it never calls
+        exact_cdf; and read through a ``_shared_law(n)`` scope filled with
+        it, exact_cdf gives its bits outside any scope for every d but NaN."""
+        refused, calls = set(), []
         stack = condks.kolmogorov._stack_cdf
 
         def counted_stack(n, k, h, ratios):
@@ -584,24 +597,52 @@ class TestExactCdfMany:
             refused.update((n, k, x) for x, v in zip(h.tolist(), out.tolist()) if math.isnan(v))
             return out
 
-        def counted_law(n, d):
-            fallbacks.add(_stack_key(n, d))
-            return self.law(n, d)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(condks.kolmogorov, "_stack_cdf", counted_stack)
+            patch.setattr(condks.kolmogorov, "exact_cdf", lambda *args: calls.append(args))
+            got = self.many(n, np.array(ds, dtype=float))
+        assert calls == [], n
+        region = {d for d in ds if _in_matrix_region(n, d)}
+        assert set(got) <= region and all(type(d) is float for d in got), n
+        missing = {_stack_key(n, d) for d in region - set(got)}
+        assert missing == refused, n
+        want = {d: self.law(n, d) for d in ds if not math.isnan(d)}
+        assert _bits(list(got.values())) == _bits([want[d] for d in got]), n
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(condks.kolmogorov, "AUTO_EXACT_LIMIT", n)  # a map at any n
+            with condks.kolmogorov._shared_law(n):
+                condks.kolmogorov._law_map(n).update(got)
+                assert _bits([self.law(n, d) for d in want]) == _bits(list(want.values())), n
+        return missing
 
-        monkeypatch.setattr(condks.kolmogorov, "_stack_cdf", counted_stack)
+    def test_bits_match_the_scalar_law(self):
+        missing = set()
         for n, ds in self.sweep().items():
-            monkeypatch.setattr(condks.kolmogorov, "exact_cdf", counted_law)
-            got = self.many(n, np.array(ds))
-            monkeypatch.setattr(condks.kolmogorov, "exact_cdf", self.law)
-            assert set(got) == {d for d in ds if _in_matrix_region(n, d)}, n
-            assert _bits(list(got.values())) == _bits([self.law(n, d) for d in got]), n
-            assert all(type(d) is float for d in got)
-        assert fallbacks == refused
-        # Both routes ran: a product n!/n^n below 1e-140, and each point
-        # whose powers exact_cdf rescales.
-        assert _stack_key(*CHUNK_END_RESCALE) in fallbacks
+            missing |= self.check_batch(n, ds)
+        # Both ways a stack is refused are left out: a product n!/n^n below
+        # 1e-140, and each point whose powers exact_cdf rescales.
+        assert _stack_key(*CHUNK_END_RESCALE) in missing
         for n, ds in POWER_RESCALES.items():
-            assert {_stack_key(n, d) for d in ds} <= fallbacks, n
+            assert {_stack_key(n, d) for d in ds} <= missing, n
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_the_contract_holds_on_drawn_statistics(self, data):
+        # d around 1/(2n) (where a stack is refused), at and beside integer
+        # nd, around the DKW edge and anywhere, with duplicates, NaN, 0 and 1.
+        n = data.draw(st.integers(1, AUTO_EXACT_LIMIT), "n")
+        lower, edge = 1.0 / (2.0 * n), _dkw_cutoff(n)
+        ds = data.draw(st.lists(st.one_of(
+            st.builds(lambda e, sign: lower * (1.0 + sign * 2.0 ** -e),
+                      st.integers(0, 53), st.sampled_from([1.0, -1.0])),
+            st.builds(lambda j, steps: _ulps_from(j / n, steps),
+                      st.integers(1, n), st.integers(-2, 2)),
+            st.builds(_ulps_from, st.just(edge), st.integers(-3, 3)),
+            st.floats(0.0, 1.0),
+            st.sampled_from([math.nan, 0.0, 1.0]),
+        ), max_size=16), "ds")
+        ds += data.draw(st.lists(st.sampled_from(ds), max_size=4) if ds else st.just([]))
+        self.check_batch(n, ds)
 
     def test_a_group_larger_than_one_stack(self, monkeypatch):
         stacks = []
