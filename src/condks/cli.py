@@ -278,12 +278,7 @@ def cmd_curve(data: str, family_spec: str, grid_size: int, out: str | None) -> N
     pairs, family, _ = _read_input(data, family_spec)
     ys = pit_transform(pairs, family).values
     n = ys.size
-    if grid_size == 1:
-        grid = [0.5]
-    elif grid_size > 1:
-        grid = [j / (grid_size - 1) for j in range(grid_size)]
-    else:
-        grid = []
+    grid = [0.5] if grid_size == 1 else [j / (grid_size - 1) for j in range(grid_size)]
     # ys is sorted, so the count of values <= x is one binary search.
     counts = np.searchsorted(ys, grid, side="right").tolist()
     # The rows (x, empirical, reference) in sorted order, formatted once

@@ -233,6 +233,10 @@ def exact_cdf(n: int, d: float) -> float:
 
     Within 3.4e-15 relative (15 eps) of an oracle good to 40 digits at
     eight points, n = 20 to 512, m = 3 to 71 (``tests/test_law_accuracy.py``).
+    That figure was measured with OpenBLAS's SkylakeX kernel: its
+    Sandybridge and Prescott kernels give 69.2 eps at (512, 0.0034), and
+    off those points SkylakeX reaches 62.5 eps at (1000, 0.04).  ROADMAP
+    item 6, step d, asks for a bound that grows with n.
     Returns 0 for d <= 1/(2n) (the statistic's lower bound is attained
     with probability zero) and 1 once the DKW bound 2 exp(-2 n d^2) is
     below 1e-16, which also caps the matrix size for large n.  Raises
