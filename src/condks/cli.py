@@ -16,6 +16,7 @@ import sys
 import tempfile
 import warnings
 from array import array
+from contextlib import nullcontext
 from dataclasses import replace
 from itertools import chain
 from typing import Iterable
@@ -54,13 +55,11 @@ class _Main(click.Group):
 
 
 def _write(lines: Iterable[str], out: str | None) -> None:
-    """Write ``lines``, each ended by LF, to stdout in one call, or to the
-    file ``out`` as UTF-8 as they come, so a file is never held whole."""
-    if out is None:
-        click.echo("\n".join(lines))
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(line + "\n" for line in lines)
+    """Write ``lines`` as they come, each ended by LF, to stdout or to the UTF-8 file ``out``."""
+    with (nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8", newline="\n")) as fh:
+        fh.writelines(line + "\n" for line in lines)
+        fh.flush()  # in the command, so that click ends a closed stdout pipe quietly
 
 
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy's opener decompresses these

@@ -11,11 +11,14 @@ import threading
 import urllib.error
 import urllib.request
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import condks
 from condks import (
@@ -379,6 +382,34 @@ def random_ingest_body(rng):
     return (b"\xef\xbb\xbf" if rng.random() < 0.2 else b"") + text.encode()
 
 
+@st.composite
+def ingest_bodies(draw):
+    """An xi,zeta file: a header with or without a BOM, with spaced or
+    quoted names; 1 to 5 rows of floats written by repr, with an exponent,
+    with a leading '+' or with spaces, quoted or not; LF, CRLF or CR line
+    ends and blank lines; and at most one bad token or third field."""
+    forms = {"repr": repr, "exponent": "{:.17e}".format,
+             "plus": lambda x: "+" + repr(abs(x)), "spaced": " {!r} ".format}
+    token = st.builds(lambda x, form, quote: quote.format(forms[form](x)),
+                      st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(sorted(forms)), st.sampled_from(["{}", '"{}"']))
+    rows = draw(st.lists(st.lists(token, min_size=2, max_size=2), min_size=1, max_size=5))
+    bad = draw(st.sampled_from([None, "1_0", "nan", "x", "", "third field"]))
+    if bad is not None:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if bad == "third field":
+            row.append("0")
+        else:
+            row[draw(st.integers(0, 1))] = bad
+    names = st.sampled_from(["{}", " {} ", '"{}"'])
+    lines = [",".join(draw(names).format(name) for name in ("xi", "zeta"))]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2)) + [",".join(row)]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+
+
 class TestIngestPaths:
     """_read_pairs parses with numpy's reader and hands what it refuses
     to the line loop; for every file the two must agree, bit for bit or
@@ -407,6 +438,17 @@ class TestIngestPaths:
             served += len(reread) == before
             assert fast == ingest_outcome(by_line, data), body
         assert 1000 < served < 1800, served
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=ingest_bodies())
+    def test_drawn_files_read_alike(self, tmp_path, body):
+        # The same bytes under a compressor's suffix take the spooled route.
+        for name in ("d.csv", "d.csv.xz"):
+            data = tmp_path / name
+            data.write_bytes(body)
+            assert (ingest_outcome(cli._read_pairs, data)
+                    == ingest_outcome(cli._read_pairs_by_line, data))
 
     def test_well_formed_file_never_reaches_the_loop(self, tmp_path, monkeypatch):
         def loop(path):
@@ -483,19 +525,8 @@ class TestIngestPaths:
         write_null_csv(data, n=2000)
         body = data.read_bytes()
         assert len(body) > 65_536  # more than a pipe buffer holds
-        read_end, write_end = os.pipe()
-
-        def write():
-            with os.fdopen(write_end, "wb") as fh:
-                fh.write(body)
-
-        writer = threading.Thread(target=write)
-        writer.start()
-        try:
-            got = ingest_outcome(cli._read_pairs, f"/dev/fd/{read_end}")
-        finally:
-            os.close(read_end)
-            writer.join()
+        with piped(body) as pipe:
+            got = ingest_outcome(cli._read_pairs, pipe)
         assert got == ingest_outcome(cli._read_pairs, data)
 
     def test_relative_path_that_parses_as_url_is_not_fetched(self, tmp_path,
@@ -517,9 +548,9 @@ class TestIngestPaths:
         assert fetched == []
 
 
-def piped_outcome(body):
-    """``ingest_outcome`` of ``_read_pairs`` on ``body`` written through a
-    pipe, and the pipe's path."""
+@contextmanager
+def piped(body):
+    """The path of a pipe that a thread writes ``body`` into."""
     read_end, write_end = os.pipe()
 
     def write():
@@ -531,15 +562,43 @@ def piped_outcome(body):
 
     writer = threading.Thread(target=write)
     writer.start()
-    pipe = f"/dev/fd/{read_end}"
     try:
-        return ingest_outcome(cli._read_pairs, pipe), pipe
+        yield f"/dev/fd/{read_end}"
     finally:
         os.close(read_end)
         writer.join()
 
 
+def piped_outcome(body):
+    """``ingest_outcome`` of ``_read_pairs`` on ``body`` written through a
+    pipe, and the pipe's path."""
+    with piped(body) as pipe:
+        return ingest_outcome(cli._read_pairs, pipe), pipe
+
+
 needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("command, first, rest", [
+    ("test", "d.csv", ["--family", "normal-location:sigma=1"]),
+    ("curve", "d.csv", ["--family", "normal-location:sigma=1"]),
+    ("simulate", "scen.cfg", ["--out", "{out}"]),
+], ids=["test", "curve", "simulate"])
+def test_pipe_argument_reads_as_its_file(runner, tmp_path, command, first, rest):
+    # bash's <(cat FILE) passes /dev/fd/N, which click must take as a file.
+    write_null_csv(tmp_path / "d.csv", n=20)
+    write_scenario(tmp_path / "scen.cfg", CALIBRATION_CFG)
+
+    def run(path, out):
+        res = runner.invoke(main, [command, path, *(a.format(out=out) for a in rest)])
+        return res.exit_code, res.output, sorted((p.name, p.read_bytes()) for p in out.glob("*"))
+
+    want = run(str(tmp_path / first), tmp_path / "from-file")
+    with piped((tmp_path / first).read_bytes()) as pipe:
+        got = run(pipe, tmp_path / "from-pipe")
+    assert want[0] == 0, want[1]
+    assert got == want
 
 
 @needs_dev_fd
@@ -615,6 +674,7 @@ class TestDistCommand:
 
     def test_critical_round_trip(self, runner):
         res = runner.invoke(main, ["dist", "-n", "20", "critical", "0.05"])
+        assert res.output == "0.294075314435\n"  # frozen; CI asks the installed script too
         crit = float(res.output)
         assert exact_cdf(20, crit) >= 0.95
         res2 = runner.invoke(main, ["dist", "-n", "20", "cdf", res.output.strip()])
@@ -1438,16 +1498,19 @@ class TestModuleEntryPoint:
         lines = proc.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
-    def test_closed_stdout_pipe_exits_1_quietly(self):
+    def test_closed_stdout_pipe_exits_1_quietly(self, monkeypatch):
         # A closed stdout pipe is not a data error: click ends the run
-        # with exit code 1 and nothing on stderr.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = run_module("table", "--n-max", "1", stdout=write_end)
-        finally:
-            os.close(write_end)
-        assert (proc.returncode, proc.stderr) == (1, b"")
+        # with exit code 1 and nothing on stderr.  A buffered stdout that
+        # is first flushed at exit fails there, outside click, with 120.
+        for unbuffered in ("1", ""):  # "" is unset
+            monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = run_module("table", "--n-max", "1", stdout=write_end)
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (1, b""), unbuffered
 
 
 def write_normal_table(path):
