@@ -18,7 +18,7 @@ import warnings
 from array import array
 from contextlib import nullcontext
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable
 
 import click
@@ -58,7 +58,9 @@ def _write(lines: Iterable[str], out: str | None) -> None:
     """Write ``lines`` as they come, each ended by LF, to stdout or to the UTF-8 file ``out``."""
     with (nullcontext(sys.stdout) if out is None
           else open(out, "w", encoding="utf-8", newline="\n")) as fh:
-        fh.writelines(line + "\n" for line in lines)
+        ended = (line + "\n" for line in lines)
+        while block := "".join(islice(ended, 4096)):  # one write per block, buffered or not
+            fh.write(block)
         fh.flush()  # in the command, so that click ends a closed stdout pipe quietly
 
 

@@ -48,6 +48,7 @@ GRID_X = [round(0.1 * i, 10) for i in range(1, 31)]
 
 
 def series_oracle(x: float, terms: int = 50) -> float:
+    """Independent high-precision partial sum of the limiting series."""
     with mpmath.workdps(60):
         s = mpmath.mpf(0)
         for k in range(1, terms + 1):

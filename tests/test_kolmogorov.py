@@ -3,7 +3,6 @@ import math
 import operator
 import threading
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,18 +18,7 @@ from condks import (
     p_value,
 )
 from condks.monte_carlo import meta_test, power_from_statistics
-
-
-def series_oracle(x: float, terms: int = 50) -> float:
-    """Independent high-precision partial sum of the limiting series."""
-    with mpmath.workdps(60):
-        s = mpmath.mpf(0)
-        for k in range(1, terms + 1):
-            s += (-1) ** (k - 1) * mpmath.exp(-2 * k * k * mpmath.mpf(x) ** 2)
-        return float(1 - 2 * s)
-
-
-GRID_X = [round(0.1 * i, 10) for i in range(1, 31)]
+from test_acceptance import GRID_X, series_oracle
 
 
 def _transition_matrix_reference(k: int, h: float) -> np.ndarray:

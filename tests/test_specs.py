@@ -1,7 +1,10 @@
+import contextlib
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from condks import (
     ExponentialRate,
@@ -15,6 +18,62 @@ from condks import (
     parse_family_spec,
     parse_sampler_spec,
 )
+
+
+# Names, keys and values, right and wrong, for drawn specs that reach every
+# branch of the parsers; plain drawn text does the rest.
+NAMES = ["normal-location", "exponential-rate", "uniform-width", "tabulated", "uniform",
+         "point-mass", "gaussian-mixture", " uniform ", "poisson", ""]
+KEYS = ["sigma", "zeta", "path", "a", "b", "c", "weights", "means", "sds", " a ", "x", ""]
+VALUES = ["", " ", "0", "1", "-1", "0.5", "1e999", "nan", "inf", "x", "0|1", "0.5|0.5", "1|", "#"]
+SPEC_TEXTS = st.text(max_size=20) | st.builds(
+    lambda name, parts: name if parts is None else f"{name}:{','.join(parts)}",
+    st.sampled_from(NAMES),
+    st.none() | st.lists(st.builds("{}{}{}".format, st.sampled_from(KEYS),
+                                   st.sampled_from(["=", "", "=="]), st.sampled_from(VALUES)),
+                         max_size=4))
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def valid_specs(draw):
+    """A valid family or sampler spec, its keys in a drawn order and spaces
+    around every token, with what it names: a sampler, or a family and its
+    pinned zeta."""
+    name = draw(st.sampled_from(["normal-location", "exponential-rate", "uniform-width",
+                                 "uniform", "point-mass", "gaussian-mixture"]))
+    params = {}
+    if name == "uniform":
+        a, b = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+        params.update(a=[a], b=[b])
+        named = UniformSampler(a, b)
+    elif name == "point-mass":
+        params["c"] = [c := draw(FINITE)]
+        named = PointMassSampler(c)
+    elif name == "gaussian-mixture":
+        weights = draw(st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.75], [0.5, 0.25, 0.25]]))
+        means, sds = (draw(st.lists(values, min_size=len(weights), max_size=len(weights)))
+                      for values in (FINITE, POSITIVE))
+        params.update(weights=weights, means=means, sds=sds)
+        named = GaussianMixtureSampler(tuple(zip(weights, means, sds)))
+    else:
+        family = {"normal-location": NormalLocation(), "exponential-rate": ExponentialRate(),
+                  "uniform-width": UniformWidth()}[name]
+        if name == "normal-location" and draw(st.booleans()):
+            params["sigma"] = [sigma := draw(POSITIVE)]
+            family = NormalLocation(sigma)
+        if (pinned := draw(st.none() | POSITIVE)) is not None:
+            params["zeta"] = [pinned]
+        named = family, pinned
+    text = draw(SPACES) + name + draw(SPACES)
+    if params or draw(st.booleans()):
+        text += ":" + ",".join(
+            draw(SPACES) + key + draw(SPACES) + "="
+            + "|".join(draw(SPACES) + repr(value) + draw(SPACES) for value in params[key])
+            for key in draw(st.permutations(list(params))))
+    return text, named
 
 
 def write_table(path):
@@ -123,6 +182,26 @@ class TestConstructorRefusalsNameTheSpec:
         with pytest.raises(ValueError) as info:
             parse_family_spec("tabulated:path=t.csv", base_dir=str(tmp_path))
         assert str(info.value).startswith(f"{tmp_path / 't.csv'}: line 4: duplicate point")
+
+
+class TestSpecGrammar:
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=SPEC_TEXTS, spec=valid_specs())
+    def test_drawn_specs_parse_or_raise_what_the_cli_maps(self, tmp_path, text, spec):
+        # The CLI maps a ValueError, and an OSError from a table's file, to
+        # exit code 2; anything else would end in a traceback.
+        with contextlib.suppress(ValueError):
+            parse_sampler_spec(text)
+        try:
+            parse_family_spec(text, base_dir=str(tmp_path))
+        except ValueError:
+            pass
+        except OSError:
+            assert text.partition(":")[0].strip() == "tabulated"
+        spec, named = spec
+        parse = parse_family_spec if isinstance(named, tuple) else parse_sampler_spec
+        assert parse(spec) == named
 
 
 class TestScenarioFiles:
